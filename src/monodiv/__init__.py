@@ -61,7 +61,6 @@ from .poly import (
     count_real_roots,
     discriminant,
     factor_mod_p,
-    gcd_mod_p,
     phi_development,
     rational_roots,
     resultant,

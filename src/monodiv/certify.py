@@ -13,10 +13,10 @@ survey over the three experimental quartic families.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
-from .arith import factor, vp
+from .arith import divisors, factor, vp
 from .elliptic import TateNormalCurve, tate_curve
 from .errors import BudgetExceededError, MathDomainError
 from .newton import IndexReport, dedekind_p_maximal, index_report
@@ -50,15 +50,15 @@ def is_irreducible_quartic(f: PolyInt) -> bool:
     c0, c1, c2, c3 = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
     if c0 == 0:
         return False
-    for b in _signed_divisors(c0):
+    for b in (sign * q for q in divisors(c0) for sign in (1, -1)):
         d = c0 // b
         # (T^2 + aT + b)(T^2 + cT + d): a + c = c3, ac = c2 - b - d, ad + bc = c1
         s, prod = c3, c2 - b - d
         disc = s * s - 4 * prod
         if disc < 0:
             continue
-        r = _isqrt_exact(disc)
-        if r is None:
+        r = math.isqrt(disc)
+        if r * r != disc:
             continue
         for a_coef in {(s + r) // 2, (s - r) // 2}:
             if 2 * a_coef not in (s + r, s - r):
@@ -67,28 +67,6 @@ def is_irreducible_quartic(f: PolyInt) -> bool:
             if a_coef * c_coef == prod and a_coef * d + b * c_coef == c1:
                 return False
     return True
-
-
-def _signed_divisors(n: int) -> list[int]:
-    out = []
-    a = abs(n)
-    d = 1
-    while d * d <= a:
-        if a % d == 0:
-            out.extend((d, -d))
-            if d != a // d:
-                out.extend((a // d, -(a // d)))
-        d += 1
-    return sorted(out)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass(frozen=True)
@@ -359,9 +337,9 @@ def galois_signature(alpha: int) -> GaloisSignature:
         raise MathDomainError("the quartic is reducible; no Galois group of a field")
     resolvent = PolyInt((72 - alpha * alpha, 12, 6, 1))
     disc = discriminant(f3)
-    is_square = disc > 0 and _isqrt_exact(disc.numerator) is not None and _isqrt_exact(
-        disc.denominator
-    ) is not None
+    is_square = disc > 0 and all(
+        math.isqrt(x) ** 2 == x for x in (disc.numerator, disc.denominator)
+    )
     group = "S4" if not rational_roots(resolvent) and not is_square else "other"
     return GaloisSignature(group=group, real_roots=count_real_roots(f3))
 
@@ -379,15 +357,9 @@ def unit_norm_check(alpha: int) -> int:
     return int(norm)
 
 
-def scan(
-    lo: int, hi: int, jobs: int = 1, budget_ms: int | None = None
-) -> list[MonogenicityCertificate]:
-    """Certify every alpha in [lo, hi], ordered by alpha regardless of jobs."""
-    alphas = list(range(lo, hi + 1))
-    if jobs <= 1:
-        return [certify(a, budget_ms=budget_ms) for a in alphas]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda a: certify(a, budget_ms=budget_ms), alphas))
+def scan(lo: int, hi: int, budget_ms: int | None = None) -> list[MonogenicityCertificate]:
+    """Certify every alpha in [lo, hi], ordered by alpha."""
+    return [certify(a, budget_ms=budget_ms) for a in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def _print_cert(cert) -> None:
 
 
 def _cmd_scan(args) -> int:
-    certs = run_scan(args.min, args.max, jobs=args.jobs, budget_ms=args.budget_ms)
+    certs = run_scan(args.min, args.max, budget_ms=args.budget_ms)
     if args.json:
         print(_dump([c.to_json_dict() for c in certs]))
     else:
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="certify a range of alpha")
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     add_common(p, budget=True)
     p.set_defaults(func=_cmd_scan)
 

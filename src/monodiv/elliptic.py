@@ -15,19 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import MathDomainError, SingularCurveError
 from .poly import PolyRat
-
-_MEMO_CAP = 25
-
-
-def configure_memo_cap(n: int) -> None:
-    """Raise or lower the per-curve memoization cap (default 25)."""
-    global _MEMO_CAP
-    _MEMO_CAP = n
-
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -167,90 +158,63 @@ class DivisionPoly:
         return self.poly * Fraction(2, self.n)
 
 
-@lru_cache(maxsize=None)
-def _psi_part_cached(curve: WeierstrassCurve, n: int) -> PolyRat:
-    return _psi_part(curve, n)
+def _division_part(
+    n: int, base3: PolyRat, base4: PolyRat, square: PolyRat, fueter_signs: bool
+) -> PolyRat:
+    """Parity-split part of the n-th term of the division recurrence.
 
+    ``square`` is the squared 2-torsion factor (psi_2^2 or F_2^2).  The
+    Fueter normalization negates odd n = 2m+1 for even m and even n = 2m for
+    odd m.  The memo lives for one call and holds only the indices n reaches,
+    about five per halving.
+    """
+    one = PolyRat.one()
+    memo = {1: one, 2: one, 3: base3, 4: base4}
+    square2 = square * square
 
-def _psi_part(curve: WeierstrassCurve, n: int) -> PolyRat:
     def P(k: int) -> PolyRat:
-        if k <= _MEMO_CAP:
-            return _psi_part_cached(curve, k)
-        return _psi_part(curve, k)
+        if k in memo:
+            return memo[k]
+        m = k // 2
+        if k % 2:
+            if m % 2 == 0:
+                val = square2 * P(m + 2) * P(m) ** 3 - P(m - 1) * P(m + 1) ** 3
+            else:
+                val = P(m + 2) * P(m) ** 3 - square2 * P(m - 1) * P(m + 1) ** 3
+            negate = m % 2 == 0
+        else:
+            # the squared factors cancel, so one composition serves both
+            # parities of m (each factor is already its parity-split part)
+            val = P(m) * (P(m + 2) * P(m - 1) ** 2 - P(m - 2) * P(m + 1) ** 2)
+            negate = m % 2 == 1
+        memo[k] = -val if fueter_signs and negate else val
+        return memo[k]
 
-    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    if n in (1, 2):
-        return PolyRat.one()
-    if n == 3:
-        return PolyRat((b8, 3 * b6, 3 * b4, b2, 3))
-    if n == 4:
-        return PolyRat(
-            (
-                b4 * b8 - b6 * b6,
-                b2 * b8 - b4 * b6,
-                10 * b8,
-                10 * b6,
-                5 * b4,
-                b2,
-                2,
-            )
-        )
-    B = curve.two_torsion_poly
-    if n % 2:
-        m = (n - 1) // 2
-        if m % 2 == 0:
-            return B * B * P(m + 2) * P(m) ** 3 - P(m - 1) * P(m + 1) ** 3
-        return P(m + 2) * P(m) ** 3 - B * B * P(m - 1) * P(m + 1) ** 3
-    m = n // 2
-    return P(m) * (P(m + 2) * P(m - 1) ** 2 - P(m - 2) * P(m + 1) ** 2)
+    return P(n)
 
 
 def psi(curve: WeierstrassCurve, n: int) -> DivisionPoly:
     """n-th division polynomial; even n returns the psi_2 cofactor."""
     if n < 1:
         raise MathDomainError("n must be positive")
-    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=_psi_part(curve, n))
-
-
-@lru_cache(maxsize=None)
-def _fueter_part_cached(curve: TateNormalCurve, n: int) -> PolyRat:
-    return _fueter_part(curve, n)
-
-
-def _fueter_part(curve: TateNormalCurve, n: int) -> PolyRat:
-    def F(k: int) -> PolyRat:
-        if k <= _MEMO_CAP:
-            return _fueter_part_cached(curve, k)
-        return _fueter_part(curve, k)
-
-    q = Fraction(curve.alpha, curve.beta)
-    if n in (1, 2):
-        return PolyRat.one()
-    if n == 3:
-        return PolyRat((-3, -q, -6, 0, 1))
-    if n == 4:
-        return PolyRat((-2, -q, -10, 0, 10, q, 2))
-    C = curve.fueter_quadratic
-    if n % 2:
-        m = (n - 1) // 2
-        sign = -1 if (m + 1) % 2 else 1
-        if m % 2 == 0:
-            val = C * C * F(m + 2) * F(m) ** 3 - F(m - 1) * F(m + 1) ** 3
-        else:
-            val = F(m + 2) * F(m) ** 3 - C * C * F(m - 1) * F(m + 1) ** 3
-        return val * sign
-    # even n: the F_2^2 factors cancel, so the same composition works for
-    # either parity of m (each factor is already its parity-split part)
-    m = n // 2
-    sign = -1 if m % 2 else 1
-    return sign * F(m) * (F(m + 2) * F(m - 1) ** 2 - F(m - 2) * F(m + 1) ** 2)
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    base3 = PolyRat((b8, 3 * b6, 3 * b4, b2, 3))
+    base4 = PolyRat(
+        (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2)
+    )
+    part = _division_part(n, base3, base4, curve.two_torsion_poly, fueter_signs=False)
+    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=part)
 
 
 def fueter(curve: TateNormalCurve, n: int) -> DivisionPoly:
     """n-th Fueter polynomial in T; even n returns the F_2 cofactor."""
     if n < 1:
         raise MathDomainError("n must be positive")
-    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=_fueter_part(curve, n))
+    q = Fraction(curve.alpha, curve.beta)
+    base3 = PolyRat((-3, -q, -6, 0, 1))
+    base4 = PolyRat((-2, -q, -10, 0, 10, q, 2))
+    part = _division_part(n, base3, base4, curve.fueter_quadratic, fueter_signs=True)
+    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=part)
 
 
 def psi_fueter_identity_check(

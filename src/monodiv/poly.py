@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import vp
+from .arith import divisors, factor, vp
 from .errors import MathDomainError
 
 _FACTOR_SEED = 0x5EED_1D1  # fixed: reproducible factorizations and certificates
@@ -27,6 +27,20 @@ def _normalize(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _power(f, e: int):
+    """f**e by binary powering; squares only while exponent bits remain."""
+    if e < 0:
+        raise MathDomainError("negative polynomial exponent")
+    out = None
+    while e:
+        if e & 1:
+            out = f if out is None else out * f
+        e >>= 1
+        if e:
+            f = f * f
+    return type(f).one() if out is None else out
 
 
 class PolyInt:
@@ -118,14 +132,7 @@ class PolyInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "PolyInt":
-        out, base = PolyInt.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def __call__(self, x):
         out = 0
@@ -255,14 +262,7 @@ class PolyRat:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "PolyRat":
-        out, base = PolyRat.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    __pow__ = _power
 
     def __call__(self, x):
         out = Fraction(0)
@@ -476,27 +476,11 @@ class PolyModP:
         h = xp.pow_mod(p**d, f)
         if h != xp % f:
             return False
-        for q in {q for q, _ in _factor_int(d)}:
+        for q in factor(d).primes():
             h = xp.pow_mod(p ** (d // q), f)
             if f.gcd(h - xp).degree != 0:
                 return False
         return True
-
-
-def _factor_int(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +581,6 @@ def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
-
-
-def gcd_mod_p(f: PolyModP, g: PolyModP) -> PolyModP:
-    """Monic gcd over F_p."""
-    return f.gcd(g)
 
 
 # ---------------------------------------------------------------------------
@@ -888,21 +867,9 @@ def rational_roots(f: PolyInt) -> list[Fraction]:
     g = PolyInt(coeffs)
     if g.degree >= 1:
         a0, lead = abs(g.coeffs[0]), abs(g.lc)
-        for r in _divisors_small(a0):
-            for ss in _divisors_small(lead):
+        for r in divisors(a0):
+            for ss in divisors(lead):
                 for cand in (Fraction(r, ss), Fraction(-r, ss)):
                     if g(cand) == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def _divisors_small(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

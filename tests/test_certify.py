@@ -200,12 +200,6 @@ def test_scan_empty_range():
     assert scan(5, 4) == []
 
 
-def test_scan_jobs_invariance():
-    serial = [c.to_json_dict() for c in scan(-6, 6)]
-    threaded = [c.to_json_dict() for c in scan(-6, 6, jobs=4)]
-    assert serial == threaded
-
-
 # --- survey ---------------------------------------------------------------------
 
 

@@ -112,13 +112,6 @@ def test_index_json():
     assert data["ind_p_lower_bound"] == 0 and data["exact"] is True
 
 
-def test_scan_jobs_invariance():
-    code1, out1, _ = invoke("scan", "--min", "-9", "--max", "9", "--json")
-    code4, out4, _ = invoke("scan", "--min", "-9", "--max", "9", "--jobs", "4", "--json")
-    assert code1 == code4 == 0
-    assert out1 == out4
-
-
 def test_scan_text_summary():
     code, out, _ = invoke("scan", "--min", "2", "--max", "7")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -331,3 +332,85 @@ def test_psi_concurrent_consistency():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+# --- differential test against the former two-recurrence implementation ------
+#
+# psi and fueter used to run two copies of the division recurrence, each
+# memoized across calls.  Both copies are frozen here, unchanged apart from
+# the memo, as the reference for the shared per-call recurrence.
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_psi_part(curve, n):
+    P = functools.partial(_reference_psi_part, curve)
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    if n in (1, 2):
+        return PolyRat.one()
+    if n == 3:
+        return PolyRat((b8, 3 * b6, 3 * b4, b2, 3))
+    if n == 4:
+        return PolyRat(
+            (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2)
+        )
+    B = curve.two_torsion_poly
+    if n % 2:
+        m = (n - 1) // 2
+        if m % 2 == 0:
+            return B * B * P(m + 2) * P(m) ** 3 - P(m - 1) * P(m + 1) ** 3
+        return P(m + 2) * P(m) ** 3 - B * B * P(m - 1) * P(m + 1) ** 3
+    m = n // 2
+    return P(m) * (P(m + 2) * P(m - 1) ** 2 - P(m - 2) * P(m + 1) ** 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_fueter_part(curve, n):
+    F = functools.partial(_reference_fueter_part, curve)
+    q = Fraction(curve.alpha, curve.beta)
+    if n in (1, 2):
+        return PolyRat.one()
+    if n == 3:
+        return PolyRat((-3, -q, -6, 0, 1))
+    if n == 4:
+        return PolyRat((-2, -q, -10, 0, 10, q, 2))
+    C = curve.fueter_quadratic
+    if n % 2:
+        m = (n - 1) // 2
+        sign = -1 if (m + 1) % 2 else 1
+        if m % 2 == 0:
+            val = C * C * F(m + 2) * F(m) ** 3 - F(m - 1) * F(m + 1) ** 3
+        else:
+            val = F(m + 2) * F(m) ** 3 - C * C * F(m - 1) * F(m + 1) ** 3
+        return val * sign
+    m = n // 2
+    sign = -1 if m % 2 else 1
+    return sign * F(m) * (F(m + 2) * F(m - 1) ** 2 - F(m - 2) * F(m + 1) ** 2)
+
+
+def _assert_matches_reference(curve, ns):
+    for n in ns:
+        dp = psi(curve, n)
+        assert (dp.n, dp.even_part) == (n, n % 2 == 0)
+        assert dp.poly.coeffs == _reference_psi_part(curve, n).coeffs, n
+
+
+def test_psi_matches_reference_on_random_weierstrass_curves(rng):
+    for _ in range(3):
+        _assert_matches_reference(random_curve(rng), range(1, 14))
+
+
+def test_psi_and_fueter_match_reference_on_random_tate_curves(rng):
+    for _ in range(3):
+        tc = tate_curve(*random_tate_params(rng))
+        _assert_matches_reference(tc.weierstrass, range(1, 14))
+        for n in range(1, 14):
+            dp = fueter(tc, n)
+            assert (dp.n, dp.even_part) == (n, n % 2 == 0)
+            assert dp.poly.coeffs == _reference_fueter_part(tc, n).coeffs, n
+
+
+def test_psi_and_fueter_match_reference_at_large_n():
+    tc = tate_curve(2, 1)
+    _assert_matches_reference(tc.weierstrass, (16, 25))
+    for n in (16, 25):
+        assert fueter(tc, n).poly.coeffs == _reference_fueter_part(tc, n).coeffs, n

@@ -14,7 +14,6 @@ from monodiv import (
     count_real_roots,
     discriminant,
     factor_mod_p,
-    gcd_mod_p,
     phi_development,
     rational_roots,
     resultant,
@@ -81,6 +80,22 @@ def test_divrem_reconstruction_rat(f, g):
     fq, gq = f.to_rat(), g.to_rat()
     q, r = fq.divrem(gq)
     assert q * gq + r == fq
+
+
+rat_polys = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=5
+).map(PolyRat)
+
+
+@given(int_polys, rat_polys)
+def test_pow_matches_repeated_product(f, g):
+    for poly in (f, g):
+        product = type(poly).one()
+        for e in range(7):
+            assert poly**e == product, e
+            product = product * poly
+        with pytest.raises(MathDomainError):
+            poly**-1
 
 
 # --- phi-adic developments ---------------------------------------------------
@@ -173,10 +188,10 @@ def test_factor_mod_p_matches_sympy(f, p):
 
 
 def test_gcd_mod_p_examples():
-    assert gcd_mod_p(PolyModP(5, (-1, 0, 1)), PolyModP(5, (-1, 1))) == PolyModP(5, (-1, 1))
+    assert PolyModP(5, (-1, 0, 1)).gcd(PolyModP(5, (-1, 1))) == PolyModP(5, (-1, 1))
     f = PolyModP(7, (1, 1, 1))
-    assert gcd_mod_p(f, f.derivative()).degree == 0
-    assert gcd_mod_p(PolyModP(3, (0, 0, 0, 1)), PolyModP(3, (0, 0, 1))) == PolyModP(3, (0, 0, 1))
+    assert f.gcd(f.derivative()).degree == 0
+    assert PolyModP(3, (0, 0, 0, 1)).gcd(PolyModP(3, (0, 0, 1))) == PolyModP(3, (0, 0, 1))
 
 
 # --- resultants and discriminants -------------------------------------------
