@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .errors import BudgetExceededError, InfiniteValuationError
+from .errors import BudgetExceededError, InfiniteValuationError, MathDomainError
 
 # First twelve primes as SPRP bases.  The first seven already make the test
 # deterministic up to ~3.4e14; the certified-trust threshold stays below that.
@@ -82,6 +82,13 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Reject a modulus that is not prime; probable primes above
+    DETERMINISTIC_BOUND pass (certificates list them on ``trust``)."""
+    if not is_probable_prime(p):
+        raise MathDomainError(f"p = {p} is not a prime")
 
 
 def is_certified_prime(p: int) -> bool:

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .arith import divisors, factor, vp
+from .arith import _integer_nth_root, divisors, factor, vp
 from .elliptic import TateNormalCurve, tate_curve
 from .errors import BudgetExceededError, MathDomainError
 from .newton import IndexReport, dedekind_p_maximal, index_report
@@ -335,12 +335,15 @@ def galois_signature(alpha: int) -> GaloisSignature:
     f3 = three_torsion_quartic(alpha)
     if not is_irreducible_quartic(f3):
         raise MathDomainError("the quartic is reducible; no Galois group of a field")
-    resolvent = PolyInt((72 - alpha * alpha, 12, 6, 1))
+    # the resolvent x^3 + 6x^2 + 12x + 72 - alpha^2 is (x + 2)^3 - (alpha^2 - 64),
+    # so it has a rational root iff alpha^2 - 64 is an integer cube
+    m = abs(alpha * alpha - 64)
+    resolvent_has_root = _integer_nth_root(m, 3) ** 3 == m
     disc = discriminant(f3)
     is_square = disc > 0 and all(
         math.isqrt(x) ** 2 == x for x in (disc.numerator, disc.denominator)
     )
-    group = "S4" if not rational_roots(resolvent) and not is_square else "other"
+    group = "S4" if not resolvent_has_root and not is_square else "other"
     return GaloisSignature(group=group, real_roots=count_real_roots(f3))
 
 

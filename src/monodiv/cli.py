@@ -18,6 +18,10 @@ from .certify import scan as run_scan
 from .certify import survey_family
 from .errors import BudgetExceededError, MathDomainError, MonodivError
 
+# Largest division/Fueter index the CLI accepts: the cost of psi_n grows
+# steeply with n, and 41 is the largest n the layer measurements use.
+MAX_N = 41
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -28,6 +32,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not _:
         raise argparse.ArgumentTypeError("range must look like LO:HI")
     return int(lo), int(hi)
+
+
+def _bounded_n(text: str) -> int:
+    n = int(text)
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}")
+    return n
 
 
 def _curve_from_args(args) -> elliptic.WeierstrassCurve:
@@ -285,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--a-invariants", help="a1,a2,a3,a4,a6 (rationals)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_n, required=True)
     add_common(p)
     p.set_defaults(func=_cmd_divpoly)
 
     p = sub.add_parser("fueter", help="Fueter polynomial of a Tate-form curve")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_n, required=True)
     add_common(p)
     p.set_defaults(func=_cmd_fueter)
 
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_n, required=True)
     add_common(p)
     p.set_defaults(func=_cmd_valuation)
 

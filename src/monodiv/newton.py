@@ -14,14 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import require_prime
 from .errors import ExactRootError, MathDomainError
 from .poly import (
     PhiDevelopment,
+    PolyFq,
     PolyInt,
     PolyModP,
     ResidueFieldElem,
     factor_mod_p,
-    fq_is_separable,
     phi_development,
     residue_elem,
     resultant,
@@ -104,6 +105,7 @@ def build_polygon(dev: PhiDevelopment, p: int) -> NewtonPolygon:
     Raises ExactRootError when a_0 = 0, i.e. phi divides the developed
     polynomial over Z (an exact root, not a polygon situation).
     """
+    require_prime(p)
     values = [t.min_valuation(p) for t in dev.terms]
     if not values or values[0] is None:
         raise ExactRootError("phi divides Phi exactly (a_0 = 0)")
@@ -135,7 +137,7 @@ class ResidualPolynomial:
         return len(self.coefficients) - 1
 
     def is_separable(self) -> bool:
-        return fq_is_separable(self.coefficients)
+        return PolyFq(self.coefficients[0].modulus, self.coefficients).is_separable()
 
 
 def residual_polynomial(
@@ -195,6 +197,7 @@ def index_report(
     """
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
+    require_prime(p)
     if resultant(Phi, Phi.derivative()) == 0:
         raise MathDomainError("Phi must be squarefree over Q")
     factors = factor_mod_p(Phi.reduce_mod(p))
@@ -246,6 +249,7 @@ def dedekind_p_maximal(Phi: PolyInt, p: int) -> bool:
     """
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
+    require_prime(p)
     fbar = Phi.reduce_mod(p)
     factors = factor_mod_p(fbar)
     g_bar = PolyModP.one(p)

@@ -1,7 +1,10 @@
 """Dense exact univariate polynomial arithmetic.
 
-Carriers for everything downstream: PolyInt over Z, PolyRat over Q, PolyModP
-over F_p, residue-field elements of F_p[x]/(phi), and phi-adic developments.
+One dense core (``_DensePoly``) owns add, mul, divrem, derivative and the
+monic gcd; each coefficient ring is a thin subclass that supplies only its
+normalizing constructor and the inverse of a leading coefficient: PolyInt
+over Z, PolyRat over Q, PolyModP over F_p, ResidueFieldElem for the elements
+of F_p[x]/(phi), and PolyFq over F_p[x]/(phi) for residual polynomials.
 Coefficients are stored ascending; the zero polynomial is the empty tuple.
 There is no floating point anywhere in this module.
 
@@ -29,24 +32,156 @@ def _normalize(coeffs):
     return tuple(coeffs)
 
 
-def _power(f, e: int):
-    """f**e by binary powering; squares only while exponent bits remain."""
-    if e < 0:
-        raise MathDomainError("negative polynomial exponent")
-    out = None
-    while e:
-        if e & 1:
-            out = f if out is None else out * f
-        e >>= 1
-        if e:
-            f = f * f
-    return type(f).one() if out is None else out
+class _DensePoly:
+    """Dense arithmetic shared by the polynomial rings below.
 
-
-class PolyInt:
-    """Polynomial over Z, ascending coefficients, trailing zeros stripped."""
+    A subclass supplies its coefficient ring: a normalizing constructor
+    behind ``_wrap``, ``_scalar`` (an integer as a coefficient), ``_inverse``
+    (of a divisor's leading coefficient) and ``_ring_key`` (the ring's
+    parameters, part of equality).  Over F_p, ``_quotient_mod`` is p:
+    division reduces each quotient coefficient, and the constructor reduces
+    everything else.
+    """
 
     __slots__ = ("coeffs",)
+    _quotient_mod = 0
+
+    def _wrap(self, coeffs):
+        return type(self)(coeffs)
+
+    def _scalar(self, k: int):
+        return k
+
+    def _ring_key(self) -> tuple:
+        return ()
+
+    def to_text(self) -> str:
+        if self.is_zero:
+            return "0"
+        return ",".join(str(c) for c in self.coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lc(self):
+        if self.is_zero:
+            raise MathDomainError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.coeffs == other.coeffs
+            and self._ring_key() == other._ring_key()
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, *self._ring_key(), self.coeffs))
+
+    def __neg__(self):
+        return self._wrap(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._wrap(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self._wrap(c * other for c in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return self._wrap(())
+        out = [self._scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return self._wrap(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        """self**e by binary powering; squares only while exponent bits remain."""
+        if e < 0:
+            raise MathDomainError("negative polynomial exponent")
+        f, out = self, None
+        while e:
+            if e & 1:
+                out = f if out is None else out * f
+            e >>= 1
+            if e:
+                f = f * f
+        return self._wrap((self._scalar(1),)) if out is None else out
+
+    def __call__(self, x):
+        out = self._scalar(0)
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def divrem(self, other):
+        """Division with remainder; the divisor's leading coefficient must be a unit."""
+        b, m = other.coeffs, self._quotient_mod
+        if not b:
+            raise MathDomainError("division by the zero polynomial")
+        d, inv = len(b) - 1, self._inverse(b[-1])
+        q = [self._scalar(0)] * max(0, len(self.coeffs) - d)
+        r = list(self.coeffs)
+        for i in range(len(r) - 1 - d, -1, -1):
+            c = r[i + d] * inv
+            if m:
+                c %= m
+            if c:
+                q[i] = c
+                for j, bc in enumerate(b):
+                    r[i + j] -= c * bc
+        return self._wrap(q), self._wrap(r[:d])
+
+    def __floordiv__(self, other):
+        return self.divrem(other)[0]
+
+    def __mod__(self, other):
+        return self.divrem(other)[1]
+
+    def derivative(self):
+        return self._wrap(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def monic(self):
+        if self.is_zero or self.is_monic:
+            return self
+        return self * self._inverse(self.lc)
+
+    def gcd(self, other):
+        """Monic gcd (the constant 1 for coprime inputs)."""
+        a, b = self, other
+        if a.is_zero and b.is_zero:
+            raise MathDomainError("gcd(0, 0) is undefined")
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+
+
+class PolyInt(_DensePoly):
+    """Polynomial over Z, ascending coefficients, trailing zeros stripped."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         self.coeffs = _normalize(int(c) for c in coeffs)
@@ -71,94 +206,13 @@ class PolyInt:
     def from_text(cls, text: str) -> "PolyInt":
         return cls(int(part.strip()) for part in text.split(","))
 
-    def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if self.is_zero:
-            raise MathDomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyInt) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("PolyInt", self.coeffs))
-
     def __repr__(self) -> str:
         return f"PolyInt({list(self.coeffs)})"
 
-    def __neg__(self) -> "PolyInt":
-        return PolyInt(-c for c in self.coeffs)
-
-    def __add__(self, other: "PolyInt") -> "PolyInt":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyInt(out)
-
-    def __sub__(self, other: "PolyInt") -> "PolyInt":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyInt(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return PolyInt.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyInt(out)
-
-    __rmul__ = __mul__
-
-    __pow__ = _power
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def divrem(self, other: "PolyInt") -> tuple["PolyInt", "PolyInt"]:
-        """Exact division with remainder; the divisor must be monic over Z."""
-        if other.is_zero:
-            raise MathDomainError("division by the zero polynomial")
-        if not other.is_monic:
+    def _inverse(self, c: int) -> int:
+        if c != 1:
             raise MathDomainError("integer divrem needs a monic divisor")
-        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        for i in range(len(r) - 1 - d, -1, -1):
-            c = r[i + d]
-            if c:
-                q[i] = c
-                for j, bc in enumerate(other.coeffs):
-                    r[i + j] -= c * bc
-        return PolyInt(q), PolyInt(r[:d])
-
-    def derivative(self) -> "PolyInt":
-        return PolyInt(i * c for i, c in enumerate(self.coeffs) if i)
+        return 1
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -181,10 +235,10 @@ class PolyInt:
         return min(vp(c, p) for c in self.coeffs if c)
 
 
-class PolyRat:
+class PolyRat(_DensePoly):
     """Polynomial over Q, ascending Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         self.coeffs = _normalize(Fraction(c) for c in coeffs)
@@ -201,97 +255,14 @@ class PolyRat:
     def from_text(cls, text: str) -> "PolyRat":
         return cls(Fraction(part.strip()) for part in text.split(","))
 
-    def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        if self.is_zero:
-            raise MathDomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyRat) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("PolyRat", self.coeffs))
-
     def __repr__(self) -> str:
         return f"PolyRat({[str(c) for c in self.coeffs]})"
 
-    def __neg__(self) -> "PolyRat":
-        return PolyRat(-c for c in self.coeffs)
+    def _scalar(self, k: int) -> Fraction:
+        return Fraction(k)
 
-    def __add__(self, other: "PolyRat") -> "PolyRat":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyRat(out)
-
-    def __sub__(self, other: "PolyRat") -> "PolyRat":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyRat(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return PolyRat.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyRat(out)
-
-    __rmul__ = __mul__
-
-    __pow__ = _power
-
-    def __call__(self, x):
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def divrem(self, other: "PolyRat") -> tuple["PolyRat", "PolyRat"]:
-        if other.is_zero:
-            raise MathDomainError("division by the zero polynomial")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d, inv = other.degree, 1 / other.lc
-        for i in range(len(r) - 1 - d, -1, -1):
-            c = r[i + d] * inv
-            if c:
-                q[i] = c
-                for j, bc in enumerate(other.coeffs):
-                    r[i + j] -= c * bc
-        return PolyRat(q), PolyRat(r[:d])
-
-    def __mod__(self, other: "PolyRat") -> "PolyRat":
-        return self.divrem(other)[1]
-
-    def derivative(self) -> "PolyRat":
-        return PolyRat(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def monic(self) -> "PolyRat":
-        return self * (1 / self.lc)
+    def _inverse(self, c: Fraction) -> Fraction:
+        return 1 / c
 
     def clear_denominators(self) -> tuple[PolyInt, int]:
         """Return (F, d) with self = F / d and F integral of the same degree."""
@@ -309,19 +280,10 @@ class PolyRat:
         return PolyInt(int(c) for c in self.coeffs)
 
 
-def gcd_rat(f: PolyRat, g: PolyRat) -> PolyRat:
-    """Monic gcd over Q (constant 1 for coprime inputs)."""
-    if f.is_zero and g.is_zero:
-        raise MathDomainError("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
-
-
-class PolyModP:
+class PolyModP(_DensePoly):
     """Polynomial over F_p, coefficients reduced to [0, p)."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p",)
 
     def __init__(self, p: int, coeffs=()):
         self.p = p
@@ -329,6 +291,16 @@ class PolyModP:
 
     def _wrap(self, coeffs) -> "PolyModP":
         return PolyModP(self.p, coeffs)
+
+    def _ring_key(self) -> tuple:
+        return (self.p,)
+
+    @property
+    def _quotient_mod(self) -> int:
+        return self.p
+
+    def _inverse(self, c: int) -> int:
+        return pow(c, -1, self.p)
 
     @classmethod
     def x(cls, p: int) -> "PolyModP":
@@ -338,109 +310,14 @@ class PolyModP:
     def one(cls, p: int) -> "PolyModP":
         return cls(p, (1,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if self.is_zero:
-            raise MathDomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyModP)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("PolyModP", self.p, self.coeffs))
-
     def __repr__(self) -> str:
         return f"PolyModP({self.p}, {list(self.coeffs)})"
-
-    def __neg__(self) -> "PolyModP":
-        return self._wrap(-c for c in self.coeffs)
-
-    def __add__(self, other: "PolyModP") -> "PolyModP":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._wrap(out)
-
-    def __sub__(self, other: "PolyModP") -> "PolyModP":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._wrap(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return self._wrap(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return self._wrap(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x: int) -> int:
         out = 0
         for c in reversed(self.coeffs):
             out = (out * x + c) % self.p
         return out
-
-    def divrem(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
-        if other.is_zero:
-            raise MathDomainError("division by the zero polynomial")
-        p = self.p
-        inv = pow(other.lc, -1, p)
-        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        for i in range(len(r) - 1 - d, -1, -1):
-            c = r[i + d] * inv % p
-            if c:
-                q[i] = c
-                for j, bc in enumerate(other.coeffs):
-                    r[i + j] = (r[i + j] - c * bc) % p
-        return self._wrap(q), self._wrap(r[:d])
-
-    def __floordiv__(self, other: "PolyModP") -> "PolyModP":
-        return self.divrem(other)[0]
-
-    def __mod__(self, other: "PolyModP") -> "PolyModP":
-        return self.divrem(other)[1]
-
-    def monic(self) -> "PolyModP":
-        if self.is_zero or self.is_monic:
-            return self
-        return self * pow(self.lc, -1, self.p)
-
-    def gcd(self, other: "PolyModP") -> "PolyModP":
-        a, b = self, other
-        if a.is_zero and b.is_zero:
-            raise MathDomainError("gcd(0, 0) is undefined")
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self) -> "PolyModP":
-        return self._wrap(i * c for i, c in enumerate(self.coeffs) if i)
 
     def pow_mod(self, e: int, modulus: "PolyModP") -> "PolyModP":
         out = self._wrap((1,))
@@ -587,55 +464,36 @@ def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
 # residue field F_p[x]/(phi) and polynomials over it
 
 
-class ResidueFieldElem:
-    """Element of F_p[x]/(phi) for monic irreducible phi."""
+class ResidueFieldElem(_DensePoly):
+    """Element of F_p[x]/(phi) for monic irreducible phi: a polynomial over
+    F_p that the constructor reduces modulo phi.  Only the field operations
+    (+, -, *, ** and inverse) are meant for elements."""
 
-    __slots__ = ("modulus", "value")
+    __slots__ = ("modulus",)
 
     def __init__(self, modulus: PolyModP, value: PolyModP):
         if not modulus.is_monic:
             raise MathDomainError("residue-field modulus must be monic")
         self.modulus = modulus
-        self.value = value % modulus
+        if value.degree >= modulus.degree:
+            value = value % modulus
+        self.coeffs = value.coeffs
 
-    def _wrap(self, value: PolyModP) -> "ResidueFieldElem":
-        return ResidueFieldElem(self.modulus, value)
+    def _wrap(self, coeffs) -> "ResidueFieldElem":
+        return ResidueFieldElem(self.modulus, PolyModP(self.modulus.p, coeffs))
+
+    def _ring_key(self) -> tuple:
+        return (self.modulus,)
 
     @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
+    def value(self) -> PolyModP:
+        return PolyModP(self.modulus.p, self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ResidueFieldElem)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash(("ResidueFieldElem", self.modulus, self.value))
-
     def __repr__(self) -> str:
         return f"ResidueFieldElem({self.value!r} mod {self.modulus!r})"
-
-    def __add__(self, other: "ResidueFieldElem") -> "ResidueFieldElem":
-        return self._wrap(self.value + other.value)
-
-    def __sub__(self, other: "ResidueFieldElem") -> "ResidueFieldElem":
-        return self._wrap(self.value - other.value)
-
-    def __neg__(self) -> "ResidueFieldElem":
-        return self._wrap(-self.value)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._wrap(self.value * other)
-        return self._wrap(self.value * other.value)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "ResidueFieldElem":
         if self.is_zero:
@@ -648,7 +506,7 @@ class ResidueFieldElem:
             a, b = b, r
             s0, s1 = s1, s0 - q * s1
         # a = gcd = unit; s0 satisfies s0*value = a (mod modulus)
-        return self._wrap(s0 * pow(a.lc, -1, a.p))
+        return ResidueFieldElem(self.modulus, s0 * pow(a.lc, -1, a.p))
 
 
 def residue_elem(modulus: PolyModP, numerator: PolyInt) -> ResidueFieldElem:
@@ -656,56 +514,35 @@ def residue_elem(modulus: PolyModP, numerator: PolyInt) -> ResidueFieldElem:
     return ResidueFieldElem(modulus, numerator.reduce_mod(modulus.p))
 
 
-def fq_normalize(coeffs) -> tuple[ResidueFieldElem, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return tuple(coeffs)
+class PolyFq(_DensePoly):
+    """Polynomial over the residue field F_p[x]/(phi), ResidueFieldElem coefficients."""
 
+    __slots__ = ("modulus",)
 
-def fq_divrem(a, b):
-    """Division with remainder for polynomials over the residue field."""
-    a, b = list(a), list(b)
-    if not b:
-        raise MathDomainError("division by the zero polynomial")
-    inv = b[-1].inverse()
-    q = [b[-1] - b[-1]] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    d = len(b) - 1
-    for i in range(len(r) - 1 - d, -1, -1):
-        c = r[i + d] * inv
-        if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                r[i + j] = r[i + j] - c * bc
-    return fq_normalize(q), fq_normalize(r[:d])
+    def __init__(self, modulus: PolyModP, coeffs=()):
+        self.modulus = modulus
+        self.coeffs = _normalize(coeffs)
 
+    def _wrap(self, coeffs) -> "PolyFq":
+        return PolyFq(self.modulus, coeffs)
 
-def fq_gcd(a, b):
-    """Monic gcd of polynomials over the residue field."""
-    a, b = fq_normalize(a), fq_normalize(b)
-    if not a and not b:
-        raise MathDomainError("gcd(0, 0) is undefined")
-    while b:
-        _, r = fq_divrem(a, b)
-        a, b = b, r
-    inv = a[-1].inverse()
-    return fq_normalize(c * inv for c in a)
+    def _scalar(self, k: int) -> ResidueFieldElem:
+        return ResidueFieldElem(self.modulus, PolyModP(self.modulus.p, (k,)))
 
+    def _inverse(self, c: ResidueFieldElem) -> ResidueFieldElem:
+        return c.inverse()
 
-def fq_derivative(a):
-    return fq_normalize(c * i for i, c in enumerate(a) if i)
+    def _ring_key(self) -> tuple:
+        return (self.modulus,)
 
+    def __repr__(self) -> str:
+        return f"PolyFq({self.modulus!r}, {list(self.coeffs)!r})"
 
-def fq_is_separable(a) -> bool:
-    """True iff the residual polynomial has no repeated roots over F_q-bar."""
-    a = fq_normalize(a)
-    if len(a) - 1 < 1:
-        raise MathDomainError("separability of a constant is undefined")
-    da = fq_derivative(a)
-    if not da:
-        return False
-    return len(fq_gcd(a, da)) == 1
+    def is_separable(self) -> bool:
+        """True iff there are no repeated roots over an algebraic closure."""
+        if self.degree < 1:
+            raise MathDomainError("separability of a constant is undefined")
+        return self.gcd(self.derivative()).degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +675,7 @@ def count_real_roots(f) -> int:
         raise MathDomainError("zero polynomial")
     if f.degree < 1:
         return 0
-    if gcd_rat(f, f.derivative()).degree != 0:
+    if f.gcd(f.derivative()).degree != 0:
         raise MathDomainError("Sturm count requires a squarefree polynomial")
     chain = [f, f.derivative()]
     while chain[-1].degree > 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factor, legendre, vp
+from .arith import factor, legendre, require_prime, vp
 from .errors import MathDomainError, SingularCurveError
 
 
@@ -65,6 +65,7 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
     _validate(alpha, beta)
     if p == 2 or p < 3:
         raise MathDomainError("classify_odd needs an odd prime")
+    require_prime(p)
     a = alpha + 8 * beta
     divides = [beta % p == 0, (alpha - 8 * beta) % p == 0, a % p == 0]
     if sum(divides) == 0:

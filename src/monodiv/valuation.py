@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import vp, vp_fraction
+from .arith import require_prime, vp, vp_fraction
 from .elliptic import TateNormalCurve, fueter, psi
 from .errors import MathDomainError
 
@@ -37,6 +37,7 @@ def singular_case(curve: TateNormalCurve, p: int) -> SingularCase:
     """Classify an odd bad prime of the curve (the cases are exclusive)."""
     if p == 2 or p < 3:
         raise MathDomainError("singular cases are analysed at odd primes")
+    require_prime(p)
     alpha, beta = curve.alpha, curve.beta
     if beta % p == 0:
         return SingularCase("beta", p, vp(beta, p))

@@ -1,14 +1,18 @@
+import importlib
 import json
+import math
 
 import pytest
 
 from monodiv import (
     MathDomainError,
+    PolyInt,
     certify,
     certify_generic,
     dedekind_p_maximal,
     discriminant,
     galois_signature,
+    rational_roots,
     scan,
     survey_family,
     three_torsion_quartic,
@@ -168,6 +172,40 @@ def test_galois_signature_examples():
     assert galois_signature(13).group == "S4"
     assert galois_signature(24).group == "other"  # 16 * 32 = 8^3 is a cube
     assert galois_signature(27).group == "S4"
+
+
+def test_galois_signature_matches_resolvent_root_search():
+    # reference: the rational-root search on the resolvent cubic that the
+    # cube test replaced
+    for alpha in range(-300, 301):
+        f3 = three_torsion_quartic(alpha)
+        if not is_irreducible_quartic(f3):
+            continue
+        disc = discriminant(f3)
+        is_square = disc > 0 and all(
+            math.isqrt(x) ** 2 == x for x in (disc.numerator, disc.denominator)
+        )
+        resolvent = PolyInt((72 - alpha * alpha, 12, 6, 1))
+        expected = "S4" if not rational_roots(resolvent) and not is_square else "other"
+        assert galois_signature(alpha).group == expected, alpha
+
+
+def test_galois_signature_factors_nothing_large(monkeypatch):
+    def small_only(real):
+        def guarded(x, *args, **kwargs):
+            if abs(x) > 10**6:
+                raise AssertionError(f"asked to factor {x}")
+            return real(x, *args, **kwargs)
+
+        return guarded
+
+    for module_name in ("arith", "certify", "poly"):
+        # the package re-exports certify(), so import the modules by path
+        module = importlib.import_module(f"monodiv.{module_name}")
+        for name in ("factor", "divisors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, small_only(getattr(module, name)))
+    assert galois_signature(10**30 + 57).group == "S4"
 
 
 def test_galois_rejects_reducible():

@@ -143,6 +143,31 @@ def test_math_error_exit_codes():
     assert code == 1  # not coprime
 
 
+def test_composite_primes_are_rejected():
+    for argv in (
+        ("reduce", "--alpha", "7", "--beta", "1", "--prime", "15"),
+        ("valuation", "--alpha", "7", "--beta", "1", "--prime", "15", "--n", "3"),
+        ("index", "--poly=1,0,1", "--prime", "15"),
+        ("newton", "--poly=-3,-2,-6,0,1", "--phi=-1,1", "--prime", "6"),
+        ("index", "--poly=1,0,1", "--prime", "1"),
+    ):
+        code, out, err = invoke(*argv)
+        p = argv[argv.index("--prime") + 1]
+        assert (code, out) == (1, ""), argv
+        assert f"p = {p} is not a prime" in err, argv
+
+
+def test_n_above_cap_is_usage_error():
+    for argv in (
+        ("divpoly", "--alpha", "2", "--beta", "1"),
+        ("fueter", "--alpha", "2", "--beta", "1"),
+        ("valuation", "--alpha", "13", "--beta", "1", "--prime", "5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv, "--n", "200")
+        assert exc.value.code == 2, argv
+
+
 def test_malformed_poly_is_usage_error():
     code, _, err = invoke("newton", "--poly=zap", "--phi=-1,1", "--prime", "2")
     assert code == 2

@@ -7,6 +7,8 @@ from monodiv import (
     ExactRootError,
     MathDomainError,
     PolyInt,
+    PolyModP,
+    ResidueFieldElem,
     build_polygon,
     dedekind_p_maximal,
     discriminant,
@@ -16,6 +18,7 @@ from monodiv import (
     residual_polynomial,
 )
 from monodiv.newton import PolygonSide, _polygon_from_values
+from monodiv.poly import PolyFq
 
 F3 = lambda alpha: PolyInt((-3, -alpha, -6, 0, 1))
 T_MINUS = lambda t0: PolyInt((-t0, 1))
@@ -299,3 +302,79 @@ def test_montes_vs_dedekind_small_corpus(rng):
             if rep.ind_p_lower_bound > 0:
                 assert not dedekind_p_maximal(f, p)
     assert checked >= 200
+
+
+# --- polynomials over F_p[x]/(phi) against the former free functions ---------
+
+
+def _ref_normalize(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_divrem(a, b):
+    a, b = list(a), list(b)
+    inv = b[-1].inverse()
+    q = [b[-1] - b[-1]] * max(0, len(a) - len(b) + 1)
+    r = a[:]
+    d = len(b) - 1
+    for i in range(len(r) - 1 - d, -1, -1):
+        c = r[i + d] * inv
+        if c:
+            q[i] = c
+            for j, bc in enumerate(b):
+                r[i + j] = r[i + j] - c * bc
+    return _ref_normalize(q), _ref_normalize(r[:d])
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_normalize(a), _ref_normalize(b)
+    while b:
+        _, r = _ref_divrem(a, b)
+        a, b = b, r
+    inv = a[-1].inverse()
+    return _ref_normalize(c * inv for c in a)
+
+
+def _ref_is_separable(a):
+    a = _ref_normalize(a)
+    da = _ref_normalize(c * i for i, c in enumerate(a) if i)
+    if not da:
+        return False
+    return len(_ref_gcd(a, da)) == 1
+
+
+def test_residue_field_polynomials_match_reference():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7):
+        for d in (1, 2, 3):
+            while True:
+                phi = PolyModP(p, [rng.randrange(p) for _ in range(d)] + [1])
+                if phi.is_irreducible():
+                    break
+
+            def elem(nonzero=False):
+                while True:
+                    value = PolyModP(p, [rng.randrange(p) for _ in range(d)])
+                    x = ResidueFieldElem(phi, value)
+                    if x or not nonzero:
+                        return x
+
+            def poly(deg):
+                return PolyFq(phi, [elem() for _ in range(deg)] + [elem(nonzero=True)])
+
+            for _ in range(25):
+                x, y = elem(), elem()
+                assert (x * y).value == x.value * y.value % phi
+                assert (x - y).value == (x.value - y.value) % phi
+                if x:
+                    assert (x * x.inverse()).value == PolyModP.one(p)
+                f, g = poly(rng.randint(1, 3)), poly(rng.randint(0, 3))
+                if rng.random() < 0.5:
+                    f = f * f * g  # a repeated factor
+                q, r = _ref_divrem(f.coeffs, g.coeffs)
+                assert f.divrem(g) == (PolyFq(phi, q), PolyFq(phi, r))
+                assert f.gcd(g).coeffs == _ref_gcd(f.coeffs, g.coeffs)
+                assert f.is_separable() == _ref_is_separable(f.coeffs)

@@ -18,8 +18,6 @@ from monodiv import (
     rational_roots,
     resultant,
 )
-from monodiv.poly import gcd_rat
-
 from conftest import to_sympy
 
 F3_ALPHA2 = PolyInt((-3, -2, -6, 0, 1))  # T^4 - 6T^2 - 2T - 3
@@ -96,6 +94,19 @@ def test_pow_matches_repeated_product(f, g):
             product = product * poly
         with pytest.raises(MathDomainError):
             poly**-1
+
+
+def test_equality_is_exact_in_type_and_ring():
+    assert PolyInt((1, 2)) != PolyRat((1, 2))
+    assert PolyRat((1, 2)) != PolyInt((1, 2))
+    assert PolyModP(5, (1, 2)) != PolyModP(7, (1, 2))
+    assert PolyModP(5, (1, 2)) != PolyInt((1, 2))
+    for a, b in (
+        (PolyInt((1, 2, 0)), PolyInt([1, 2])),
+        (PolyRat((Fraction(1, 2), 1)), PolyRat(("1/2", 1))),
+        (PolyModP(5, (6, 2)), PolyModP(5, (1, -3))),
+    ):
+        assert a == b and hash(a) == hash(b)
 
 
 # --- phi-adic developments ---------------------------------------------------
@@ -237,7 +248,7 @@ def test_resultant_matches_sylvester_determinant(f, g):
 )
 def test_disc_multiplicativity(f, g):
     fq, gq = f.to_rat(), g.to_rat()
-    if gcd_rat(fq, gq).degree != 0:
+    if fq.gcd(gq).degree != 0:
         return
     if discriminant(fq) == 0 or discriminant(gq) == 0:
         return
