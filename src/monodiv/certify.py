@@ -4,10 +4,13 @@ The certifier walks the prime-by-prime analysis: p = 2 (only when alpha is
 even; development base T - 1), p = 3 (base T, T - 4 or T + 4 according to
 alpha mod 3), and every odd p >= 5 dividing (alpha - 8)(alpha + 8), with the
 development base T - T0 placed at the singular Fueter coordinate.  At every
-prime the polygon index bound must be exactly zero, and a Dedekind-criterion
-oracle must concur.  A generic (curve-blind) Montes pass over all primes of
-the polynomial discriminant serves as a cross-check, and also powers the
-survey over the three experimental quartic families.
+prime the polygon index bound must be exactly zero, and Dedekind's criterion
+must concur; `index_report` runs both on one factorization mod p and keeps
+Dedekind's answer in `IndexReport.dedekind`.  The Kodaira types of the curve
+are classified at the primes of the same factorization of alpha -+ 8.  A
+generic (curve-blind) Montes pass over all primes of the polynomial
+discriminant serves as a cross-check, and also powers the survey over the
+three experimental quartic families.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ from dataclasses import dataclass, field
 from .arith import _integer_nth_root, divisors, factor, vp
 from .elliptic import TateNormalCurve, tate_curve
 from .errors import BudgetExceededError, MathDomainError
-from .newton import IndexReport, dedekind_p_maximal, index_report
+# perfbench/spans.py patches dedekind_p_maximal and reduction_table in this
+# module by name, though nothing here calls them; drop both imports together
+# with those patches.
+from .newton import IndexReport, dedekind_p_maximal, index_report  # noqa: F401
 from .poly import PolyInt, count_real_roots, discriminant, rational_roots, resultant
-from .reduction import reduction_table
+from .reduction import classify_odd, classify_two, reduction_table  # noqa: F401
 from .valuation import singular_T, singular_case
 
 SCHEMA_VERSION = 1
@@ -121,8 +127,8 @@ class MonogenicityCertificate:
     alpha: int
     verdict: str  # "monogenic" | "not_certified" | "hypothesis_failed"
     hypothesis_ok: bool
-    field_disc: int | None
-    primes: tuple[PrimeEvidence, ...]
+    field_disc: int | None = None
+    primes: tuple[PrimeEvidence, ...] = ()
     trust: tuple[str, ...] = field(default=())
     reduction_ok: bool | None = None
     reason: str | None = None
@@ -144,8 +150,8 @@ class MonogenicityCertificate:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _evidence_from_report(report: IndexReport, dedekind: bool) -> PrimeEvidence:
-    ind = report.ind_p_lower_bound
+def _evidence_from_report(report: IndexReport) -> PrimeEvidence:
+    ind, dedekind = report.ind_p_lower_bound, report.dedekind
     if report.exact:
         agrees = (ind == 0) == dedekind
     else:
@@ -168,6 +174,28 @@ def _evidence_from_report(report: IndexReport, dedekind: bool) -> PrimeEvidence:
     )
 
 
+def _certificate(
+    alpha: int,
+    reports: list[IndexReport],
+    field_disc: int,
+    trust: tuple[str, ...],
+    reduction_ok: bool | None = None,
+) -> MonogenicityCertificate:
+    """Per-prime rows and the verdict of a certificate whose hypothesis holds."""
+    rows = tuple(_evidence_from_report(report) for report in reports)
+    ok = all(row.ind_p == 0 and row.exact and row.dedekind_agrees for row in rows)
+    return MonogenicityCertificate(
+        alpha=alpha,
+        verdict="monogenic" if ok else "not_certified",
+        hypothesis_ok=True,
+        field_disc=field_disc if ok else None,
+        primes=rows,
+        trust=trust,
+        reduction_ok=reduction_ok,
+        reason=None if ok else "a prime produced a nonzero or inexact index bound",
+    )
+
+
 def _guided_lift(alpha: int, p: int, curve: TateNormalCurve | None) -> PolyInt:
     """Development base prescribed by the curve analysis."""
     if p == 2:
@@ -187,11 +215,7 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
     f3 = three_torsion_quartic(alpha)
     if alpha in (8, -8):
         return MonogenicityCertificate(
-            alpha=alpha,
-            verdict="hypothesis_failed",
-            hypothesis_ok=False,
-            field_disc=None,
-            primes=(),
+            alpha, "hypothesis_failed", False,
             reason="alpha = +-8 is singular (alpha -+ 8 vanishes)",
         )
     try:
@@ -199,12 +223,7 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
         fact_plus = factor(alpha + 8, budget_ms=budget_ms)
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
-            alpha=alpha,
-            verdict="not_certified",
-            hypothesis_ok=False,
-            field_disc=None,
-            primes=(),
-            reason=f"factorization budget exceeded: {exc}",
+            alpha, "not_certified", False, reason=f"factorization budget exceeded: {exc}"
         )
     trust = tuple(
         f"prime {q} of alpha {sgn} 8 is probable, not certified"
@@ -213,54 +232,30 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
     )
     if not (fact_minus.is_squarefree() and fact_plus.is_squarefree()):
         return MonogenicityCertificate(
-            alpha=alpha,
-            verdict="hypothesis_failed",
-            hypothesis_ok=False,
-            field_disc=None,
-            primes=(),
-            trust=trust,
+            alpha, "hypothesis_failed", False, trust=trust,
             reason="alpha - 8 or alpha + 8 is not squarefree",
         )
     if not is_irreducible_quartic(f3):
         return MonogenicityCertificate(
-            alpha=alpha,
-            verdict="hypothesis_failed",
-            hypothesis_ok=False,
-            field_disc=None,
-            primes=(),
-            trust=trust,
+            alpha, "hypothesis_failed", False, trust=trust,
             reason="the quartic is reducible over Q",
         )
     curve = tate_curve(alpha, 1)
-    plist = {3}
+    bad = set(fact_minus.primes() + fact_plus.primes())
+    plist = {3} | {q for q in bad if q >= 5}
     if alpha % 2 == 0:
         plist.add(2)
-    for q in fact_minus.primes() + fact_plus.primes():
-        if q >= 5:
-            plist.add(q)
-    rows = []
-    for p in sorted(plist):
-        lift = _guided_lift(alpha, p, curve)
-        report = index_report(f3, p, lifts=[lift])
-        rows.append(_evidence_from_report(report, dedekind_p_maximal(f3, p)))
-    ok = all(row.ind_p == 0 and row.exact and row.dedekind_agrees for row in rows)
-    try:
-        types_ok = all(
-            data.kodaira.kind in ("I", "I*") and data.kodaira.n == 1
-            for data in reduction_table(alpha, 1, budget_ms=budget_ms)
-        )
-    except BudgetExceededError:
-        types_ok = None
-    return MonogenicityCertificate(
-        alpha=alpha,
-        verdict="monogenic" if ok else "not_certified",
-        hypothesis_ok=True,
-        field_disc=field_discriminant(alpha) if ok else None,
-        primes=tuple(rows),
-        trust=trust,
-        reduction_ok=types_ok,
-        reason=None if ok else "a prime produced a nonzero or inexact index bound",
-    )
+    reports = [
+        index_report(f3, p, lifts=[_guided_lift(alpha, p, curve)]) for p in sorted(plist)
+    ]
+    # the Kodaira types at the primes of alpha -+ 8; an even alpha has
+    # v_2(alpha + 8) = 1 here, so p = 2 is I*_1 and never a good prime
+    kinds = [
+        (classify_two(alpha, 1) if q == 2 else classify_odd(alpha, 1, q)).kodaira
+        for q in bad
+    ]
+    types_ok = all(k.kind in ("I", "I*") and k.n == 1 for k in kinds)
+    return _certificate(alpha, reports, field_discriminant(alpha), trust, types_ok)
 
 
 def montes_certificate(
@@ -279,41 +274,17 @@ def montes_certificate(
         raise MathDomainError("polynomial must be squarefree over Q")
     if not is_irreducible_quartic(poly):
         return MonogenicityCertificate(
-            alpha=label,
-            verdict="hypothesis_failed",
-            hypothesis_ok=False,
-            field_disc=None,
-            primes=(),
-            reason="the quartic is reducible over Q",
+            label, "hypothesis_failed", False, reason="the quartic is reducible over Q"
         )
     try:
         fact = factor(int(disc), budget_ms=budget_ms)
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
-            alpha=label,
-            verdict="not_certified",
-            hypothesis_ok=True,
-            field_disc=None,
-            primes=(),
-            reason=f"factorization budget exceeded: {exc}",
+            label, "not_certified", True, reason=f"factorization budget exceeded: {exc}"
         )
     trust = tuple(f"prime {q} of disc is probable, not certified" for q in fact.probable)
-    rows = []
-    for p in fact.primes():
-        if vp(int(disc), p) < 2:
-            continue
-        report = index_report(poly, p)
-        rows.append(_evidence_from_report(report, dedekind_p_maximal(poly, p)))
-    ok = all(row.ind_p == 0 and row.exact and row.dedekind_agrees for row in rows)
-    return MonogenicityCertificate(
-        alpha=label,
-        verdict="monogenic" if ok else "not_certified",
-        hypothesis_ok=True,
-        field_disc=int(disc) if ok else None,
-        primes=tuple(rows),
-        trust=trust,
-        reason=None if ok else "a prime produced a nonzero or inexact index bound",
-    )
+    reports = [index_report(poly, p) for p in fact.primes() if vp(int(disc), p) >= 2]
+    return _certificate(label, reports, int(disc), trust)
 
 
 def certify_generic(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:

@@ -4,8 +4,9 @@ Given a phi-adic development of a monic polynomial, the negative-slope lower
 convex hull of (j, v_p(a_j)) carries the local index data: the lattice points
 with x >= 1 and y >= 1 on or under the polygon bound v_p of the index, with
 equality when every side's residual polynomial is separable (p-regularity).
-A Dedekind-criterion test is included as an independent oracle for the
-"index is prime to p" conclusion.
+Dedekind's criterion is an independent oracle for the "index is prime to p"
+conclusion; `index_report` runs it on the same factorization mod p and
+records its answer in `IndexReport.dedekind`.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ class IndexReport:
     per_phi: tuple[PhiReport, ...]
     ind_p_lower_bound: int
     exact: bool
+    dedekind: bool  # Dedekind's criterion: Z[theta] is maximal at p
 
 
 def index_report(
@@ -200,7 +202,8 @@ def index_report(
     require_prime(p)
     if resultant(Phi, Phi.derivative()) == 0:
         raise MathDomainError("Phi must be squarefree over Q")
-    factors = factor_mod_p(Phi.reduce_mod(p))
+    fbar = Phi.reduce_mod(p)
+    factors = factor_mod_p(fbar)
     lift_map = {}
     for L in lifts or ():
         if not L.is_monic:
@@ -238,20 +241,24 @@ def index_report(
         per_phi=tuple(reports),
         ind_p_lower_bound=sum(r.ind_phi for r in reports),
         exact=all(r.regular for r in reports),
+        dedekind=_dedekind(Phi, p, fbar, factors),
     )
 
 
 def dedekind_p_maximal(Phi: PolyInt, p: int) -> bool:
-    """Dedekind's criterion: is Z[theta] maximal at p?
-
-    With Phi-bar = prod g_i^e_i, g = prod g_i and h a monic lift of
-    Phi-bar / g-bar, test gcd((gh - Phi)/p, g, h) = 1 over F_p.
-    """
+    """Dedekind's criterion: is Z[theta] maximal at p?"""
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
     require_prime(p)
     fbar = Phi.reduce_mod(p)
-    factors = factor_mod_p(fbar)
+    return _dedekind(Phi, p, fbar, factor_mod_p(fbar))
+
+
+def _dedekind(
+    Phi: PolyInt, p: int, fbar: PolyModP, factors: list[tuple[PolyModP, int]]
+) -> bool:
+    """With Phi-bar = prod g_i^e_i, g = prod g_i and h a monic lift of
+    Phi-bar / g-bar, test gcd((gh - Phi)/p, g, h) = 1 over F_p."""
     g_bar = PolyModP.one(p)
     for fac, _ in factors:
         g_bar = g_bar * fac

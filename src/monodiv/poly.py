@@ -542,7 +542,8 @@ class PolyFq(_DensePoly):
         """True iff there are no repeated roots over an algebraic closure."""
         if self.degree < 1:
             raise MathDomainError("separability of a constant is undefined")
-        return self.gcd(self.derivative()).degree == 0
+        # a linear polynomial's derivative is its nonzero leading coefficient
+        return self.degree == 1 or self.gcd(self.derivative()).degree == 0
 
 
 # ---------------------------------------------------------------------------

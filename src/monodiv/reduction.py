@@ -1,18 +1,20 @@
 """Closed-form Kodaira classification for the Tate-normal-form family.
 
 For odd bad primes the type is decided by which of beta, alpha - 8 beta,
-alpha + 8 beta the prime divides (mutually exclusive for coprime parameters);
+alpha + 8 beta the prime divides (`valuation.singular_case`; the cases are
+mutually exclusive for coprime parameters);
 p = 2 needs its own case analysis on v_2(alpha + 8 beta).  Conductor exponent
 f and component count c are reported only where the closed forms state them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .arith import factor, legendre, require_prime, vp
-from .errors import MathDomainError, SingularCurveError
+from .arith import factor, legendre, vp
+from .elliptic import tate_curve
+from .errors import MathDomainError
+from .valuation import singular_case
 
 
 @dataclass(frozen=True)
@@ -53,27 +55,14 @@ class ReductionData:
     minimal_shift_w: int
 
 
-def _validate(alpha: int, beta: int) -> None:
-    if math.gcd(alpha, beta) != 1:
-        raise MathDomainError("alpha and beta must be coprime")
-    if beta == 0 or alpha == 8 * beta or alpha == -8 * beta:
-        raise SingularCurveError("singular Tate parameters (Delta = 0)")
-
-
 def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
     """Kodaira type, conductor exponent, component count at an odd bad prime."""
-    _validate(alpha, beta)
-    if p == 2 or p < 3:
+    curve = tate_curve(alpha, beta)
+    if p < 3:
         raise MathDomainError("classify_odd needs an odd prime")
-    require_prime(p)
-    a = alpha + 8 * beta
-    divides = [beta % p == 0, (alpha - 8 * beta) % p == 0, a % p == 0]
-    if sum(divides) == 0:
-        raise MathDomainError(f"good reduction at p = {p}")
-    if sum(divides) > 1:
-        raise MathDomainError("clause exclusivity violated (parameters not coprime?)")
-    if divides[0]:
-        v = vp(beta, p)
+    case = singular_case(curve, p)
+    v = case.v
+    if case.tag == "beta":
         return ReductionData(
             p=p,
             kodaira=KodairaType("I", 4 * v),
@@ -82,8 +71,7 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
             case_tag="tate1-1",
             minimal_shift_w=0,
         )
-    if divides[1]:
-        v = vp(alpha - 8 * beta, p)
+    if case.tag == "minus":
         if p % 4 == 1:
             c = v
             tag = "tate1-2a"
@@ -98,7 +86,6 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
             case_tag=tag,
             minimal_shift_w=0,
         )
-    v = vp(a, p)
     w = v // 2
     if v % 2:
         return ReductionData(
@@ -109,7 +96,7 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
             case_tag="tate1-3a",
             minimal_shift_w=w,
         )
-    unit = beta * a // p ** (2 * w)
+    unit = beta * curve.a // p ** (2 * w)
     c = v if legendre(unit, p) == 1 else 2
     return ReductionData(
         p=p,
@@ -123,8 +110,7 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
 
 def classify_two(alpha: int, beta: int) -> ReductionData:
     """Reduction data at p = 2 (bad iff 2 | beta or 2 | alpha)."""
-    _validate(alpha, beta)
-    a = alpha + 8 * beta
+    a = tate_curve(alpha, beta).a
     if beta % 2 == 0:
         # same analysis as the odd beta-divisibility case, with p = 2
         v = vp(beta, 2)
@@ -201,7 +187,7 @@ def classify_two(alpha: int, beta: int) -> ReductionData:
 
 def bad_primes(alpha: int, beta: int, budget_ms: int | None = None) -> list[int]:
     """Primes dividing Delta = beta^4 (alpha - 8 beta) (alpha + 8 beta)^7."""
-    _validate(alpha, beta)
+    tate_curve(alpha, beta)
     primes: set[int] = set()
     for part in (beta, alpha - 8 * beta, alpha + 8 * beta):
         if part not in (1, -1):

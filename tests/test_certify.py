@@ -73,6 +73,26 @@ def test_certify_alpha_8_singular():
     assert certify(-8).verdict == "hypothesis_failed"
 
 
+@pytest.mark.parametrize("alpha", [2, -1038203453994206589])
+def test_certify_factors_alpha_minus_plus_8_once_each(monkeypatch, alpha):
+    # the Kodaira check reads the primes of the factorizations certify made,
+    # so reduction never factors alpha -+ 8 a second time
+    calls = {}
+    for name in ("monodiv.certify", "monodiv.reduction"):
+        module = importlib.import_module(name)
+        log = calls[name] = []
+
+        def counted(n, _inner=module.factor, _log=log, **kwargs):
+            _log.append(n)
+            return _inner(n, **kwargs)
+
+        monkeypatch.setattr(module, "factor", counted)
+    cert = certify(alpha)
+    assert cert.verdict == "monogenic" and cert.reduction_ok is True
+    assert sorted(calls["monodiv.certify"]) == [alpha - 8, alpha + 8]
+    assert calls["monodiv.reduction"] == []
+
+
 def test_certify_odd_alpha_has_no_p2_row():
     cert = certify(3)
     assert cert.verdict == "monogenic"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -116,6 +117,15 @@ def test_scan_text_summary():
     code, out, _ = invoke("scan", "--min", "2", "--max", "7")
     assert code == 0
     assert out.splitlines()[-1] == "monogenic: 2,3,5,6,7"
+
+
+def test_scan_json_golden_digest():
+    # every certificate of the window, byte for byte
+    code, out, _ = invoke("scan", "--min", "-100", "--max", "100", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7fcffce094302a821a547c5748c5db4302d0cb2cca38b3bdc19d9ec3953f48fa"
+    )
 
 
 def test_survey_json():

@@ -295,6 +295,7 @@ def test_montes_vs_dedekind_small_corpus(rng):
             continue
         p = rng.choice([2, 3, 5, 7, 11, 13])
         rep = index_report(f, p)
+        assert rep.dedekind == dedekind_p_maximal(f, p)
         if rep.exact:
             assert (rep.ind_p_lower_bound == 0) == dedekind_p_maximal(f, p)
             checked += 1
