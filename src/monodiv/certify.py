@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 from .arith import _integer_nth_root, divisors, factor, vp
@@ -218,8 +219,11 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
             alpha, "hypothesis_failed", False,
             reason="alpha = +-8 is singular (alpha -+ 8 vanishes)",
         )
+    start = time.monotonic()
     try:
         fact_minus = factor(alpha - 8, budget_ms=budget_ms)
+        if budget_ms is not None:  # one deadline for the whole request
+            budget_ms = max(0.0, budget_ms - 1000.0 * (time.monotonic() - start))
         fact_plus = factor(alpha + 8, budget_ms=budget_ms)
     except BudgetExceededError as exc:
         return MonogenicityCertificate(

@@ -1,9 +1,29 @@
+import math
+import random
+import time
+
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodiv import InfiniteValuationError, factor, is_squarefree, legendre, vp
-from monodiv.arith import divisors, is_probable_prime, small_primes, vp_fraction
+from monodiv import (
+    BudgetExceededError,
+    InfiniteValuationError,
+    factor,
+    is_squarefree,
+    legendre,
+    vp,
+)
+from monodiv.arith import (
+    DETERMINISTIC_BOUND,
+    _brent_rho,
+    _perfect_power,
+    divisors,
+    is_probable_prime,
+    small_primes,
+    vp_fraction,
+)
 from fractions import Fraction
 
 
@@ -95,3 +115,111 @@ def test_factor_flags_probable_primes_above_bound():
     assert f.probable == (m61,)
     small = factor(10**12 + 39)  # certified territory
     assert small.probable == ()
+
+
+# --- factor against trial division to 10^6 and sympy --------------------------
+
+_REFERENCE_BOUND = 1_000_000
+
+
+def _reference_primes() -> list[int]:
+    sieve = bytearray([1]) * _REFERENCE_BOUND
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(_REFERENCE_BOUND) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(_REFERENCE_BOUND) if sieve[i]]
+
+
+def _reference_factor(x: int, primes: list[int]) -> tuple[tuple, tuple]:
+    """The former ``factor``: trial division below one million, frozen here."""
+    n = abs(x)
+    found: dict[int, int] = {}
+    for p in primes:
+        if p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    if 1 < n < _REFERENCE_BOUND * _REFERENCE_BOUND:
+        found[n] = found.get(n, 0) + 1
+        n = 1
+    stack = [n] if n > 1 else []
+    probable = set()
+    while stack:
+        m = stack.pop()
+        if is_probable_prime(m):
+            found[m] = found.get(m, 0) + 1
+            if m >= DETERMINISTIC_BOUND:
+                probable.add(m)
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            stack.extend([power[0]] * power[1])
+            continue
+        d = _brent_rho(m, None)
+        stack.extend([d, m // d])
+    return tuple(sorted(found.items())), tuple(sorted(probable))
+
+
+def _factor_corpus() -> list[int]:
+    rng = random.Random("factor-differential")
+    out = []
+    for _ in range(60):
+        alpha = rng.choice((-1, 1)) * rng.randrange(2**59, 2**62)
+        out += [alpha - 8, alpha + 8]
+    below16, above16 = 65521, 65537  # the primes on either side of 2^16
+    below32, above32 = 4294967291, 4294967311  # and of 2^32
+    out += [
+        below16**2,
+        65537 * 65539,
+        65519 * below16,
+        below16 * above16,
+        above16**2,
+        65539**2,
+        3 * 65543**2,
+        2**32 - 1,
+        2**32 + 1,
+        below16 * below32,
+        above16 * below32,
+        above16 * above32,
+        below32 * above32,
+        below32**2 * 7,
+        999983 * 1000003,
+        999983**2,
+        6 * (2**61 - 1),
+    ]
+    out += [rng.randrange(2, 2**70) for _ in range(40)]
+    return out
+
+
+def test_factor_matches_trial_division_to_one_million_and_sympy():
+    primes = _reference_primes()
+    for n in _factor_corpus():
+        got = factor(n)
+        assert got.value() == n
+        assert (got.factors, got.probable) == _reference_factor(n, primes), n
+        oracle = sympy.factorint(abs(n))
+        assert got.factors == tuple(sorted(oracle.items())), n
+        assert got.probable == tuple(p for p in sorted(oracle) if p >= DETERMINISTIC_BOUND)
+
+
+def _random_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        if is_probable_prime(p):
+            return p
+
+
+def test_rho_honours_the_deadline_between_batches():
+    rng = random.Random("rho-deadline")
+    n = _random_prime(rng, 60) * _random_prime(rng, 60)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        factor(n, budget_ms=200)
+    assert time.monotonic() - start < 0.260
+    # only rho reads the budget: with none left, what needs no rho still returns
+    with pytest.raises(BudgetExceededError):
+        factor(n, budget_ms=0)
+    assert factor(360, budget_ms=0).factors == ((2, 3), (3, 2), (5, 1))
+    assert factor(6 * (2**61 - 1), budget_ms=0).probable == (2**61 - 1,)

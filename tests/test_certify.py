@@ -1,6 +1,9 @@
+import hashlib
 import importlib
 import json
 import math
+import random
+import time
 
 import pytest
 
@@ -19,6 +22,8 @@ from monodiv import (
     unit_norm_check,
 )
 from monodiv.certify import field_discriminant, is_irreducible_quartic
+
+certify_module = importlib.import_module("monodiv.certify")
 
 KNOWN_MONOGENIC = (2, 3, 5, 6, 7, 9, 11, 13, 14, 15, 18, 21, 22, 23, 25)
 
@@ -91,6 +96,30 @@ def test_certify_factors_alpha_minus_plus_8_once_each(monkeypatch, alpha):
     assert cert.verdict == "monogenic" and cert.reduction_ok is True
     assert sorted(calls["monodiv.certify"]) == [alpha - 8, alpha + 8]
     assert calls["monodiv.reduction"] == []
+
+
+def test_certify_spends_one_budget_on_both_factorizations(monkeypatch):
+    budgets = []
+
+    def slow_first(n, budget_ms=None, _inner=certify_module.factor):
+        budgets.append(budget_ms)
+        if len(budgets) == 1:
+            time.sleep(0.15)
+        return _inner(n, budget_ms=budget_ms)
+
+    monkeypatch.setattr(certify_module, "factor", slow_first)
+    assert certify(2, budget_ms=1000).verdict == "monogenic"
+    assert budgets[0] == 1000 and budgets[1] <= 850
+
+
+def test_certify_large_json_digest():
+    # 60-bit alphas, whose cofactors reach rho; five carry trust caveats
+    rng = random.Random("certify_large_json")
+    alphas = [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(10)]
+    texts = "\n".join(certify(a).to_json() for a in alphas)
+    assert hashlib.sha256(texts.encode()).hexdigest() == (
+        "cc493cf8e2d9b03aeb7de23e0270af94a46b205e7ca85154125c0c7c6e999879"
+    )
 
 
 def test_certify_odd_alpha_has_no_p2_row():
