@@ -26,8 +26,10 @@ from .elliptic import (
     double_x,
     fueter,
     fueter_disc,
+    fueter_value,
     psi,
     psi_fueter_identity_check,
+    psi_value,
     tate_curve,
     T_to_x,
     verdure_disc,

@@ -211,6 +211,13 @@ def _guided_lift(alpha: int, p: int, curve: TateNormalCurve | None) -> PolyInt:
     return PolyInt((-t0, 1))
 
 
+def _budget_left(budget_ms: int | None, start: float) -> float | None:
+    """What is left of one request's budget since ``start``, floored at 0."""
+    if budget_ms is None:
+        return None
+    return max(0.0, budget_ms - 1000.0 * (time.monotonic() - start))
+
+
 def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:
     """Curve-guided monogenicity certificate for T^4 - 6T^2 - alpha*T - 3."""
     f3 = three_torsion_quartic(alpha)
@@ -219,12 +226,10 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
             alpha, "hypothesis_failed", False,
             reason="alpha = +-8 is singular (alpha -+ 8 vanishes)",
         )
-    start = time.monotonic()
+    start = time.monotonic()  # one deadline for the whole request
     try:
         fact_minus = factor(alpha - 8, budget_ms=budget_ms)
-        if budget_ms is not None:  # one deadline for the whole request
-            budget_ms = max(0.0, budget_ms - 1000.0 * (time.monotonic() - start))
-        fact_plus = factor(alpha + 8, budget_ms=budget_ms)
+        fact_plus = factor(alpha + 8, budget_ms=_budget_left(budget_ms, start))
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
             alpha, "not_certified", False, reason=f"factorization budget exceeded: {exc}"
@@ -385,6 +390,7 @@ def survey_family(
         raise MathDomainError("family must be one of A, B, C")
     spec = _FAMILIES[family]
     out = []
+    start = time.monotonic()  # one deadline for the whole request
     for s in range(s_range[0], s_range[1] + 1):
         for t in range(t_range[0], t_range[1] + 1):
             poly = spec["poly"](s, t)
@@ -393,10 +399,9 @@ def survey_family(
             actual = discriminant(poly)
             disc_ok = actual == predicted
             verdict = None
-            if sq != 0 and _squarefree_or_none(sq, budget_ms):
-                verdict = montes_certificate(
-                    poly, budget_ms=budget_ms
-                ).verdict
+            if sq != 0 and _squarefree_or_none(sq, _budget_left(budget_ms, start)):
+                left = _budget_left(budget_ms, start)
+                verdict = montes_certificate(poly, budget_ms=left).verdict
             out.append(
                 FamilyEntry(
                     family=family,

@@ -52,24 +52,21 @@ def _curve_from_args(args) -> elliptic.WeierstrassCurve:
     return elliptic.tate_curve(args.alpha, args.beta).weierstrass
 
 
-def _cmd_divpoly(args) -> int:
-    curve = _curve_from_args(args)
-    dp = elliptic.psi(curve, args.n)
-    if args.json:
+def _print_division_poly(dp: elliptic.DivisionPoly, as_json: bool) -> int:
+    if as_json:
         print(_dump({"n": dp.n, "even_part": dp.even_part, "coefficients": dp.poly.to_text()}))
     else:
         print(dp.poly.to_text())
     return 0
+
+
+def _cmd_divpoly(args) -> int:
+    return _print_division_poly(elliptic.psi(_curve_from_args(args), args.n), args.json)
 
 
 def _cmd_fueter(args) -> int:
     curve = elliptic.tate_curve(args.alpha, args.beta)
-    dp = elliptic.fueter(curve, args.n)
-    if args.json:
-        print(_dump({"n": dp.n, "even_part": dp.even_part, "coefficients": dp.poly.to_text()}))
-    else:
-        print(dp.poly.to_text())
-    return 0
+    return _print_division_poly(elliptic.fueter(curve, args.n), args.json)
 
 
 def _cmd_reduce(args) -> int:

@@ -5,10 +5,16 @@ the polynomial is the full psi_n(x); for even n it is psi_n / psi_2, with
 psi_2^2 eliminated through the curve relation 4x^3 + b2 x^2 + 2 b4 x + b6.
 The Fueter side mirrors this with F_2^2 = 4T^2 + (alpha/beta) T + 4.
 
+One recurrence serves both, over any ring.  Polynomials are built over Z:
+psi_n on the integral model b_i' = u^i b_i, u the lcm of the denominators of
+a1..a6 (1 for Tate curves); psi_n is isobaric of weight w = n^2 - 1 (n^2 - 4
+for the even part), so coefficient j is c_j u^(2j) / u^w.  F_n is built in
+S = T/beta, where every base is integral, and coefficient j is g_j / beta^j.
+``psi_value``/``fueter_value`` run it on the base values at one point.
+
 Recurrence base cases and signs were cross-validated against the direct
 coordinate-change route (see tests); in particular the 4-torsion factor is
-F_4 / F_2 = 2T^6 + (a/b)T^5 + 10T^4 - 10T^2 - (a/b)T - 2.
-"""
+F_4 / F_2 = 2T^6 + (a/b)T^5 + 10T^4 - 10T^2 - (a/b)T - 2."""
 
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MathDomainError, SingularCurveError
-from .poly import PolyRat
+from .poly import PolyInt, PolyRat
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -109,11 +115,6 @@ class TateNormalCurve:
         a, b = self.a, self.beta
         return Fraction((self.alpha**2 - 48 * b * b) ** 3, self.delta)
 
-    @cached_property
-    def fueter_quadratic(self) -> PolyRat:
-        """4T^2 + (alpha/beta) T + 4 (the square of F_2 on the Fueter curve)."""
-        return PolyRat((4, Fraction(self.alpha, self.beta), 4))
-
 
 def tate_curve(alpha: int, beta: int) -> TateNormalCurve:
     """Tate-normal-form curve for coprime (alpha, beta); errors when singular."""
@@ -158,63 +159,88 @@ class DivisionPoly:
         return self.poly * Fraction(2, self.n)
 
 
-def _division_part(
-    n: int, base3: PolyRat, base4: PolyRat, square: PolyRat, fueter_signs: bool
-) -> PolyRat:
+def _division_part(n: int, base3, base4, square, fueter_signs: bool):
     """Parity-split part of the n-th term of the division recurrence.
 
     ``square`` is the squared 2-torsion factor (psi_2^2 or F_2^2).  The
     Fueter normalization negates odd n = 2m+1 for even m and even n = 2m for
-    odd m.  The memo lives for one call and holds only the indices n reaches,
-    about five per halving.
+    odd m.  The indices n reaches, about five per halving, are listed from n
+    down, then built bottom-up in a table that dies with the call.
     """
-    one = PolyRat.one()
-    memo = {1: one, 2: one, 3: base3, 4: base4}
+    if n < 1:
+        raise MathDomainError("n must be positive")
+    need, todo = set(), [n]
+    while todo:
+        k = todo.pop()
+        if k > 4 and k not in need:
+            need.add(k)
+            todo.extend(range(k // 2 - 2 + k % 2, k // 2 + 3))
+    one = square**0  # the 1 of the bases' ring
+    P = {1: one, 2: one, 3: base3, 4: base4}
     square2 = square * square
-
-    def P(k: int) -> PolyRat:
-        if k in memo:
-            return memo[k]
+    for k in sorted(need):
         m = k // 2
         if k % 2:
             if m % 2 == 0:
-                val = square2 * P(m + 2) * P(m) ** 3 - P(m - 1) * P(m + 1) ** 3
+                val = square2 * P[m + 2] * P[m] ** 3 - P[m - 1] * P[m + 1] ** 3
             else:
-                val = P(m + 2) * P(m) ** 3 - square2 * P(m - 1) * P(m + 1) ** 3
+                val = P[m + 2] * P[m] ** 3 - square2 * P[m - 1] * P[m + 1] ** 3
             negate = m % 2 == 0
         else:
             # the squared factors cancel, so one composition serves both
             # parities of m (each factor is already its parity-split part)
-            val = P(m) * (P(m + 2) * P(m - 1) ** 2 - P(m - 2) * P(m + 1) ** 2)
+            val = P[m] * (P[m + 2] * P[m - 1] ** 2 - P[m - 2] * P[m + 1] ** 2)
             negate = m % 2 == 1
-        memo[k] = -val if fueter_signs and negate else val
-        return memo[k]
+        P[k] = -val if fueter_signs and negate else val
+    return P[n]
 
-    return P(n)
+
+def _psi_bases(curve: WeierstrassCurve, u: int = 1) -> tuple[tuple, ...]:
+    """Coefficients of psi_3, psi_4/psi_2 and psi_2^2 on the model b_i' = u^i b_i."""
+    b2, b4, b6, b8 = curve.b2 * u**2, curve.b4 * u**4, curve.b6 * u**6, curve.b8 * u**8
+    return (
+        (b8, 3 * b6, 3 * b4, b2, 3),
+        (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2),
+        (b6, 2 * b4, b2, 4),
+    )
+
+
+def _fueter_bases(curve: TateNormalCurve) -> tuple[tuple, ...]:
+    """Integer coefficients of F_3, F_4/F_2 and F_2^2 in S = T/beta."""
+    a, b2 = curve.alpha, curve.beta**2
+    return (
+        (-3, -a, -6 * b2, 0, b2 * b2),
+        (-2, -a, -10 * b2, 0, 10 * b2 * b2, a * b2 * b2, 2 * b2**3),
+        (4, a, 4 * b2),
+    )
 
 
 def psi(curve: WeierstrassCurve, n: int) -> DivisionPoly:
     """n-th division polynomial; even n returns the psi_2 cofactor."""
-    if n < 1:
-        raise MathDomainError("n must be positive")
-    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    base3 = PolyRat((b8, 3 * b6, 3 * b4, b2, 3))
-    base4 = PolyRat(
-        (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2)
-    )
-    part = _division_part(n, base3, base4, curve.two_torsion_poly, fueter_signs=False)
-    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=part)
+    u = math.lcm(*(c.denominator for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)))
+    part = _division_part(n, *map(PolyInt, _psi_bases(curve, u)), fueter_signs=False)
+    uw = u ** (n * n - (4 if n % 2 == 0 else 1))
+    poly = PolyRat(Fraction(c * u ** (2 * j), uw) for j, c in enumerate(part.coeffs))
+    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
+
+
+def psi_value(curve: WeierstrassCurve, n: int, x: Fraction | int) -> Fraction:
+    """psi(curve, n).poly(x), by the recurrence on the values of the bases at x."""
+    values = (PolyRat(c)(Fraction(x)) for c in _psi_bases(curve))
+    return _division_part(n, *values, fueter_signs=False)
 
 
 def fueter(curve: TateNormalCurve, n: int) -> DivisionPoly:
     """n-th Fueter polynomial in T; even n returns the F_2 cofactor."""
-    if n < 1:
-        raise MathDomainError("n must be positive")
-    q = Fraction(curve.alpha, curve.beta)
-    base3 = PolyRat((-3, -q, -6, 0, 1))
-    base4 = PolyRat((-2, -q, -10, 0, 10, q, 2))
-    part = _division_part(n, base3, base4, curve.fueter_quadratic, fueter_signs=True)
-    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=part)
+    part = _division_part(n, *map(PolyInt, _fueter_bases(curve)), fueter_signs=True)
+    poly = PolyRat(Fraction(g, curve.beta**j) for j, g in enumerate(part.coeffs))
+    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
+
+
+def fueter_value(curve: TateNormalCurve, n: int, T: Fraction | int) -> Fraction:
+    """fueter(curve, n).poly(T), by the recurrence on the values of the bases at T."""
+    values = (PolyRat(c)(Fraction(T) / curve.beta) for c in _fueter_bases(curve))
+    return _division_part(n, *values, fueter_signs=True)
 
 
 def psi_fueter_identity_check(
@@ -224,11 +250,10 @@ def psi_fueter_identity_check(
     if n % 2 == 0:
         raise MathDomainError("the identity is implemented for odd n")
     T = Fraction(T)
-    x = T_to_x(T, curve)
-    lhs = psi(curve.weierstrass, n).poly(x)
+    lhs = psi_value(curve.weierstrass, n, T_to_x(T, curve))
     d = (n * n - 1) // 2
     sign = -1 if ((n - 1) // 2) % 2 else 1
-    rhs = sign * (Fraction(curve.a * curve.beta) / T) ** d * fueter(curve, n).poly(T)
+    rhs = sign * (Fraction(curve.a * curve.beta) / T) ** d * fueter_value(curve, n, T)
     return lhs == rhs
 
 

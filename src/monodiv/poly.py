@@ -214,9 +214,6 @@ class PolyInt(_DensePoly):
             raise MathDomainError("integer divrem needs a monic divisor")
         return 1
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def exact_scalar_div(self, c: int) -> "PolyInt":
         if any(a % c for a in self.coeffs):
             raise MathDomainError("scalar division is not exact")
@@ -584,19 +581,22 @@ def phi_development(Phi: PolyInt, phi: PolyInt) -> PhiDevelopment:
 # resultants and discriminants (integer subresultant PRS)
 
 
-def _prem(a: PolyInt, b: PolyInt) -> PolyInt:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b."""
-    d = b.degree
-    lb = b.lc
-    r = a
-    e = a.degree - d + 1
-    while not r.is_zero and r.degree >= d:
-        lr = r.lc
-        shift = PolyInt([0] * (r.degree - d) + [lr])
-        r = r * lb - b * shift
+def _prem(a, b) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b; ascending int coefficients, no trailing zeros."""
+    d, lb = len(b) - 1, b[-1]
+    r = list(a)
+    e = len(a) - d
+    while len(r) > d:
+        # r * lb - lc(r) x^shift b, whose leading term cancels
+        lr = r.pop()
+        shift = len(r) - d
+        r = [c * lb for c in r[:shift]] + [c * lb - lr * bc for c, bc in zip(r[shift:], b)]
+        while r and not r[-1]:
+            r.pop()
         e -= 1
     if e > 0:
-        r = r * lb**e
+        f = lb**e
+        r = [c * f for c in r]
     return r
 
 
@@ -607,53 +607,50 @@ def _exact_int_div(a: int, b: int) -> int:
     return q
 
 
-def _resultant_int(a: PolyInt, b: PolyInt) -> int:
-    """Res(a, b) over Z via the subresultant polynomial remainder sequence."""
-    if a.is_zero or b.is_zero:
+def _resultant_int(a, b) -> int:
+    """Res(a, b) over Z by the subresultant PRS, on coefficients as in ``_prem``."""
+    if not a or not b:
         return 0
     s = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             s = -s
         a, b = b, a
-    if b.degree == 0:
-        return s * b.coeffs[0] ** a.degree
-    ca, cb = abs(a.content()), abs(b.content())
-    a, b = a.exact_scalar_div(ca), b.exact_scalar_div(cb)
-    mult = ca**b.degree * cb**a.degree
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    mult = ca ** (len(b) - 1) * cb ** (len(a) - 1)
     g = h = 1
     while True:
-        da, db = a.degree, b.degree
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             s = -s
         r = _prem(a, b)
-        if r.is_zero:
+        if not r:
             return 0
-        a = b
-        b = r.exact_scalar_div(g * h**delta)
-        g = a.lc
+        a, q = b, g * h**delta
+        b = [_exact_int_div(c, q) for c in r]
+        g = a[-1]
         if delta > 0:
             h = _exact_int_div(g**delta, h ** (delta - 1))
-        if b.degree == 0:
-            da = a.degree
-            return s * mult * _exact_int_div(b.coeffs[0] ** da, h ** (da - 1))
+        if len(b) == 1:
+            da = len(a) - 1
+            return s * mult * _exact_int_div(b[0] ** da, h ** (da - 1))
 
 
 def resultant(f, g) -> Fraction:
-    """Resultant of two nonzero rational polynomials (exact)."""
-    f = f.to_rat() if isinstance(f, PolyInt) else f
-    g = g.to_rat() if isinstance(g, PolyInt) else g
+    """Resultant of two nonzero integer or rational polynomials (exact)."""
     if f.is_zero or g.is_zero:
         raise MathDomainError("resultant of the zero polynomial")
-    F, df = f.clear_denominators()
-    G, dg = g.clear_denominators()
-    return Fraction(_resultant_int(F, G), df**g.degree * dg**f.degree)
+    F, df = (f, 1) if isinstance(f, PolyInt) else f.clear_denominators()
+    G, dg = (g, 1) if isinstance(g, PolyInt) else g.clear_denominators()
+    return Fraction(_resultant_int(F.coeffs, G.coeffs), df**g.degree * dg**f.degree)
 
 
 def discriminant(f) -> Fraction:
     """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f) for nonconstant f."""
-    f = f.to_rat() if isinstance(f, PolyInt) else f
     if f.is_zero or f.degree < 1:
         raise MathDomainError("discriminant requires a nonconstant polynomial")
     d = f.degree

@@ -6,8 +6,9 @@ The closed forms (for odd n, odd p):
   p | alpha + 8 beta:  v_p(Psi_n(0)) = v * 5(n^2-1)/8,  v_p(F_n(1)) =  v (n^2-1)/8
   p | beta:            v_p(Psi_n(0)) = v * 3(n^2-1)/8,  v_p(F_n(1)) = -v (n^2-1)/8
 
-each paired with a direct exact-evaluation oracle.  The floor sequence
-R_n(a, l) underlying the multiplicative-reduction analysis is also here.
+each paired with the observed v_p of the exact value that the recurrence
+gives at the point (``psi_value``/``fueter_value``; no polynomial is built).
+The floor sequence R_n(a, l) of the multiplicative-reduction analysis is here too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import require_prime, vp, vp_fraction
-from .elliptic import TateNormalCurve, fueter, psi
+# perfbench/spans.py patches psi and fueter in this module by name, though
+# nothing here calls them; drop both imports together with those patches.
+from .elliptic import TateNormalCurve, fueter, fueter_value, psi, psi_value  # noqa: F401
 from .errors import MathDomainError
 
 _CASE_TAGS = ("minus", "plus", "beta")
@@ -108,18 +111,18 @@ def singular_fueter_T(case: SingularCase, curve: TateNormalCurve) -> Fraction:
 
 
 def observed_psi_valuation(curve: TateNormalCurve, case: SingularCase, n: int) -> int:
-    """v_p of the exact value Psi_n(singular x); the brute-force oracle."""
+    """v_p of the exact value Psi_n(singular x), from the recurrence at x."""
     _odd_only(n)
-    value = psi(curve.weierstrass, n).poly(Fraction(singular_x(case, curve)))
+    value = psi_value(curve.weierstrass, n, singular_x(case, curve))
     return vp_fraction(value, case.p)
 
 
 def observed_fueter_valuation(
     curve: TateNormalCurve, case: SingularCase, n: int
 ) -> int:
-    """v_p of the exact rational F_n(singular T); the brute-force oracle."""
+    """v_p of the exact rational F_n(singular T), from the recurrence at T."""
     _odd_only(n)
-    value = fueter(curve, n).poly(singular_fueter_T(case, curve))
+    value = fueter_value(curve, n, singular_fueter_T(case, curve))
     return vp_fraction(value, case.p)
 
 

@@ -49,3 +49,17 @@ def random_curve(rng, bound=4):
             return WeierstrassCurve(*vals)
         except SingularCurveError:
             continue
+
+
+def random_rational_curve(rng, bound=9):
+    """Random nonsingular WeierstrassCurve whose a-invariants have denominators."""
+    from monodiv import SingularCurveError, WeierstrassCurve
+
+    while True:
+        vals = [Fraction(rng.randint(-bound, bound), rng.randint(1, 6)) for _ in range(5)]
+        if all(v.denominator == 1 for v in vals):
+            continue
+        try:
+            return WeierstrassCurve(*vals)
+        except SingularCurveError:
+            continue

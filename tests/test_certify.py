@@ -310,6 +310,24 @@ def test_survey_all_disc_formulas_on_grid():
             assert entry.disc_ok, (family, entry.s, entry.t)
 
 
+def test_survey_spends_one_budget_on_the_whole_request(monkeypatch):
+    budgets = []
+
+    def slow(n, budget_ms=None, _inner=certify_module.factor):
+        budgets.append(budget_ms)
+        time.sleep(0.02)
+        return _inner(n, budget_ms=budget_ms)
+
+    monkeypatch.setattr(certify_module, "factor", slow)
+    survey_family("B", (0, 2), (0, 2), budget_ms=100)
+    # five 20 ms sleeps use the budget up: each call gets what is left
+    assert len(budgets) > 6
+    assert 50 < budgets[0] <= 100
+    assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
+    assert all(left <= 100 - 20 * i for i, left in enumerate(budgets[:5]))
+    assert budgets[6:] == [0.0] * len(budgets[6:])
+
+
 def test_survey_rejects_unknown_family():
     with pytest.raises(MathDomainError):
         survey_family("D", (0, 1), (0, 1))

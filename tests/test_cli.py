@@ -128,6 +128,32 @@ def test_scan_json_golden_digest():
     )
 
 
+# sha256 of the text output for n = 1..25, concatenated in order of n, as the
+# Fraction recurrence printed it
+DIVISION_GOLDEN_DIGESTS = {
+    ("divpoly", "--alpha", "2", "--beta", "1"):
+        "3ee1ec8a886e70e95af579371555c9f20db95abd9b25d14a886065f68596147a",
+    ("divpoly", "--alpha", "7", "--beta", "3"):
+        "e91f8f2f39ba286bf68a10c22bb2a99569a6e9709f3e82dd6ac034d1baf94962",
+    ("divpoly", "--a-invariants", "1,-1,0,3/2,-5"):
+        "2742efbaa31c5459f84f6d009798f8df51b0f6d5cd9b48e135ac070ed71fef11",
+    ("fueter", "--alpha", "2", "--beta", "1"):
+        "c81166b4e0fc46fbd7a0ffd6f37e893d5ded955fec96a060132a0b4a9233adfd",
+    ("fueter", "--alpha", "7", "--beta", "3"):
+        "dc55b500c7f6d1a04db8972f8582e5356cbd7f2293df5883e5ff6ba38c90db35",
+}
+
+
+@pytest.mark.parametrize("argv", list(DIVISION_GOLDEN_DIGESTS))
+def test_division_polynomial_golden_digests(argv):
+    text = ""
+    for n in range(1, 26):
+        code, out, _ = invoke(*argv, "--n", str(n))
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == DIVISION_GOLDEN_DIGESTS[argv]
+
+
 def test_survey_json():
     code, out, _ = invoke("survey", "--family", "B", "--s", "0:0", "--t", "1:1", "--json")
     assert code == 0

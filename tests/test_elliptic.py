@@ -1,4 +1,5 @@
 import functools
+import gc
 from fractions import Fraction
 
 import pytest
@@ -8,17 +9,20 @@ from monodiv import (
     PolyRat,
     SingularCurveError,
     T_to_x,
+    WeierstrassCurve,
     discriminant,
     double_x,
     fueter,
     fueter_disc,
+    fueter_value,
     psi,
     psi_fueter_identity_check,
+    psi_value,
     tate_curve,
     verdure_disc,
     x_to_T,
 )
-from conftest import random_curve, random_tate_params
+from conftest import random_curve, random_rational_curve, random_tate_params
 
 
 # --- curve models ------------------------------------------------------------
@@ -334,11 +338,29 @@ def test_psi_concurrent_consistency():
     assert all(r == results[0] for r in results)
 
 
+def test_recurrence_leaves_no_cyclic_garbage():
+    # each call's table of intermediate terms must die by reference counting
+    tc = tate_curve(7, 3)
+    w = WeierstrassCurve(1, -1, 0, Fraction(3, 2), -5)
+    gc.collect()
+    gc.disable()
+    try:
+        psi(w, 13)
+        psi(tc.weierstrass, 12)
+        fueter(tc, 13)
+        psi_value(w, 13, Fraction(2, 3))
+        fueter_value(tc, 12, Fraction(-5, 7))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --- differential test against the former two-recurrence implementation ------
 #
 # psi and fueter used to run two copies of the division recurrence, each
 # memoized across calls.  Both copies are frozen here, unchanged apart from
-# the memo, as the reference for the shared per-call recurrence.
+# the memo and the former TateNormalCurve.fueter_quadratic written out, as the
+# reference for the shared per-call recurrence.
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,7 +395,7 @@ def _reference_fueter_part(curve, n):
         return PolyRat((-3, -q, -6, 0, 1))
     if n == 4:
         return PolyRat((-2, -q, -10, 0, 10, q, 2))
-    C = curve.fueter_quadratic
+    C = PolyRat((4, q, 4))  # F_2^2 = 4T^2 + (alpha/beta) T + 4
     if n % 2:
         m = (n - 1) // 2
         sign = -1 if (m + 1) % 2 else 1
@@ -414,3 +436,69 @@ def test_psi_and_fueter_match_reference_at_large_n():
     _assert_matches_reference(tc.weierstrass, (16, 25))
     for n in (16, 25):
         assert fueter(tc, n).poly.coeffs == _reference_fueter_part(tc, n).coeffs, n
+
+
+def test_psi_matches_reference_on_rational_weierstrass_curves(rng):
+    # a-invariants with denominators: the integral model has u > 1
+    for _ in range(6):
+        w = random_rational_curve(rng)
+        _assert_matches_reference(w, range(1, 12))
+    w = WeierstrassCurve(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(3, 4), -7)
+    _assert_matches_reference(w, (12, 13))
+    for dp in (psi(w, 13), fueter(tate_curve(3, 29), 13)):
+        assert type(dp.poly) is PolyRat
+        assert all(type(c) is Fraction for c in dp.poly.coeffs)
+
+
+@pytest.mark.parametrize("alpha,beta", [(-1399, 40), (977, 37), (3, 29)])
+def test_psi_and_fueter_match_reference_for_large_beta(alpha, beta):
+    tc = tate_curve(alpha, beta)
+    ns = (5, 10, 13, 16, 25)
+    _assert_matches_reference(tc.weierstrass, ns)
+    for n in ns:
+        assert fueter(tc, n).poly.coeffs == _reference_fueter_part(tc, n).coeffs, n
+
+
+def _value_points(rng, count):
+    points = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(count)]
+    return [x for x in points if x] + [Fraction(1), Fraction(-1)]
+
+
+def test_values_match_polynomials_at_random_points(rng):
+    curves = [tate_curve(*random_tate_params(rng)) for _ in range(3)] + [tate_curve(-1399, 40)]
+    for tc in curves:
+        for n in range(1, 14):
+            psi_poly, fueter_poly = psi(tc.weierstrass, n).poly, fueter(tc, n).poly
+            for x in _value_points(rng, 4):
+                assert psi_value(tc.weierstrass, n, x) == psi_poly(x), (tc, n, x)
+                assert fueter_value(tc, n, x) == fueter_poly(x), (tc, n, x)
+    for _ in range(3):
+        w = random_rational_curve(rng)
+        for n in range(1, 12):
+            for x in _value_points(rng, 3):
+                assert psi_value(w, n, x) == psi(w, n).poly(x), (w, n, x)
+
+
+def test_values_match_polynomials_at_singular_points():
+    from monodiv.arith import factor
+    from monodiv.valuation import singular_case, singular_fueter_T, singular_x
+
+    for alpha, beta in ((13, 1), (2, 1), (1, 5), (33, 1), (-1399, 40), (977, 37)):
+        tc = tate_curve(alpha, beta)
+        for part in (beta, alpha - 8 * beta, alpha + 8 * beta):
+            for p in factor(part).primes():
+                if p == 2:
+                    continue
+                case = singular_case(tc, p)
+                x, T = singular_x(case, tc), singular_fueter_T(case, tc)
+                for n in (1, 3, 4, 5, 8, 9, 11):
+                    assert psi_value(tc.weierstrass, n, x) == psi(tc.weierstrass, n).poly(x)
+                    assert fueter_value(tc, n, T) == fueter(tc, n).poly(T)
+
+
+def test_values_reject_nonpositive_n():
+    for n in (0, -3):
+        with pytest.raises(MathDomainError):
+            psi_value(tate_curve(2, 1).weierstrass, n, 1)
+        with pytest.raises(MathDomainError):
+            fueter_value(tate_curve(2, 1), n, 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,14 @@ from monodiv import (
     count_real_roots,
     discriminant,
     factor_mod_p,
+    fueter,
     phi_development,
+    psi,
     rational_roots,
     resultant,
+    tate_curve,
 )
+from monodiv import poly as poly_module
 from conftest import to_sympy
 
 F3_ALPHA2 = PolyInt((-3, -2, -6, 0, 1))  # T^4 - 6T^2 - 2T - 3
@@ -255,6 +260,93 @@ def test_disc_multiplicativity(f, g):
     lhs = discriminant(fq * gq)
     rhs = discriminant(fq) * discriminant(gq) * resultant(fq, gq) ** 2
     assert lhs == rhs
+
+
+# --- differential test against the former PolyInt subresultant ---------------
+#
+# The subresultant PRS used to run on PolyInt objects.  That version is frozen
+# here, unchanged apart from spelling out PolyInt.content(), as the reference
+# for the int-list version.
+
+
+def _reference_prem(a, b):
+    d = b.degree
+    lb = b.lc
+    r = a
+    e = a.degree - d + 1
+    while not r.is_zero and r.degree >= d:
+        lr = r.lc
+        shift = PolyInt([0] * (r.degree - d) + [lr])
+        r = r * lb - b * shift
+        e -= 1
+    if e > 0:
+        r = r * lb**e
+    return r
+
+
+def _reference_exact_int_div(a, b):
+    q, r = divmod(a, b)
+    assert not r
+    return q
+
+
+def _reference_resultant_int(a, b):
+    if a.is_zero or b.is_zero:
+        return 0
+    s = 1
+    if a.degree < b.degree:
+        if a.degree % 2 == 1 and b.degree % 2 == 1:
+            s = -s
+        a, b = b, a
+    if b.degree == 0:
+        return s * b.coeffs[0] ** a.degree
+    ca, cb = abs(math.gcd(*a.coeffs)), abs(math.gcd(*b.coeffs))
+    a, b = a.exact_scalar_div(ca), b.exact_scalar_div(cb)
+    mult = ca**b.degree * cb**a.degree
+    g = h = 1
+    while True:
+        da, db = a.degree, b.degree
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            s = -s
+        r = _reference_prem(a, b)
+        if r.is_zero:
+            return 0
+        a = b
+        b = r.exact_scalar_div(g * h**delta)
+        g = a.lc
+        if delta > 0:
+            h = _reference_exact_int_div(g**delta, h ** (delta - 1))
+        if b.degree == 0:
+            da = a.degree
+            return s * mult * _reference_exact_int_div(b.coeffs[0] ** da, h ** (da - 1))
+
+
+def _check_against_reference(f, g):
+    assert poly_module._resultant_int(f.coeffs, g.coeffs) == _reference_resultant_int(f, g)
+    if not f.is_zero and not g.is_zero and f.degree >= g.degree:
+        assert PolyInt(poly_module._prem(f.coeffs, g.coeffs)) == _reference_prem(f, g)
+
+
+def test_subresultant_matches_polyint_reference():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        f = PolyInt(rng.randint(-50, 50) for _ in range(rng.randint(0, 9)))
+        g = PolyInt(rng.randint(-50, 50) for _ in range(rng.randint(0, 9)))
+        _check_against_reference(f, g)
+        # shared factors and common content make the sequence end early
+        h = PolyInt(rng.randint(-5, 5) for _ in range(rng.randint(1, 3)))
+        _check_against_reference(f * h * 6, g * h * 4)
+    for alpha in range(-40, 41):
+        quartic = PolyInt((-3, -alpha, -6, 0, 1))
+        _check_against_reference(quartic, quartic.derivative())
+    for alpha, beta in ((2, 1), (-1399, 40), (7, 3)):
+        tc = tate_curve(alpha, beta)
+        for n in (3, 4, 5, 7):
+            F, _ = fueter(tc, n).poly.clear_denominators()
+            _check_against_reference(F, F.derivative())
+        F, _ = psi(tc.weierstrass, 6).poly.clear_denominators()
+        _check_against_reference(F, F.derivative())
 
 
 # --- real roots and rational roots -------------------------------------------
