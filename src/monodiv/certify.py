@@ -3,12 +3,17 @@
 The certifier walks the prime-by-prime analysis: p = 2 (only when alpha is
 even; development base T - 1), p = 3 (base T, T - 4 or T + 4 according to
 alpha mod 3), and every odd p >= 5 dividing (alpha - 8)(alpha + 8), with the
-development base T - T0 placed at the singular Fueter coordinate.  At every
-prime the polygon index bound must be exactly zero, and Dedekind's criterion
-must concur; `index_report` runs both on one factorization mod p and keeps
-Dedekind's answer in `IndexReport.dedekind`.  The Kodaira types of the curve
-are classified at the primes of the same factorization of alpha -+ 8.  A
-generic (curve-blind) Montes pass over all primes of the polynomial
+development base T - T0 placed at the singular Fueter coordinate.  Each row
+of a certificate is the `IndexReport` that `index_report` returned for its
+prime: the polygon index bound must be exactly zero and Dedekind's criterion
+(`IndexReport.dedekind`, run on the same factorization mod p) must hold.
+The Kodaira types of the curve are classified at the primes of the same
+factorization of alpha -+ 8.
+
+The family's closed forms stand in for re-checks: the quartic has
+discriminant -27 (alpha - 8)^2 (alpha + 8)^2, which is never a square, and it
+is irreducible over Q for every alpha except +-8 (see `three_torsion_quartic`).
+A generic (curve-blind) Montes pass over all primes of the polynomial
 discriminant serves as a cross-check, and also powers the survey over the
 three experimental quartic families.
 """
@@ -27,13 +32,20 @@ from .errors import BudgetExceededError, MathDomainError
 # module by name, though nothing here calls them; drop both imports together
 # with those patches.
 from .newton import IndexReport, dedekind_p_maximal, index_report  # noqa: F401
-from .poly import PolyInt, count_real_roots, discriminant, rational_roots, resultant
+from .poly import PolyInt, count_real_roots, discriminant, resultant
 from .reduction import classify_odd, classify_two, reduction_table  # noqa: F401
 from .valuation import singular_T, singular_case
 
 SCHEMA_VERSION = 1
 
 
+# The quartic f = T^4 - 6T^2 - alpha*T - 3 is reducible over Q only for
+# alpha = +-8.  A monic integer quartic that factors over Q factors over Z
+# (Gauss).  Rational roots divide 3, and f(+-1) = -+alpha - 8 and
+# f(+-3) = 24 -+ 3*alpha, so a root exists only at alpha = +-8.  A split
+# (T^2 + aT + b)(T^2 - aT + d) needs bd = -3 and a^2 = b + d + 6, which is 4
+# or 8; the only integer case is a = +-2 with {b, d} = {1, -3}, and then
+# alpha = -a(d - b) = +-8.
 def three_torsion_quartic(alpha: int) -> PolyInt:
     """The quartic T^4 - 6T^2 - alpha*T - 3 (3-torsion in Fueter form, beta=1)."""
     return PolyInt((-3, -alpha, -6, 0, 1))
@@ -44,20 +56,22 @@ def field_discriminant(alpha: int) -> int:
     return -27 * (alpha - 8) ** 2 * (alpha + 8) ** 2
 
 
-def is_irreducible_quartic(f: PolyInt) -> bool:
+def is_irreducible_quartic(f: PolyInt, budget_ms: int | None = None) -> bool:
     """Irreducibility over Q for monic integer quartics.
 
-    Rational-root test plus exhaustive integer quadratic-splitting test
-    (by Gauss, a monic integer quartic factors over Q iff over Z).
+    By Gauss, a monic integer quartic factors over Q iff over Z, so its
+    rational roots and the constant terms of its quadratic factors are signed
+    divisors of c0.  Both tests run over the one factorization of c0, made
+    within ``budget_ms`` (BudgetExceededError past it).
     """
     if f.degree != 4 or not f.is_monic:
         raise MathDomainError("expected a monic quartic")
-    if rational_roots(f):
-        return False
     c0, c1, c2, c3 = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
     if c0 == 0:
         return False
-    for b in (sign * q for q in divisors(c0) for sign in (1, -1)):
+    for b in (sign * q for q in divisors(c0, budget_ms=budget_ms) for sign in (1, -1)):
+        if f(b) == 0:
+            return False
         d = c0 // b
         # (T^2 + aT + b)(T^2 + cT + d): a + c = c3, ac = c2 - b - d, ad + bc = c1
         s, prod = c3, c2 - b - d
@@ -77,59 +91,14 @@ def is_irreducible_quartic(f: PolyInt) -> bool:
 
 
 @dataclass(frozen=True)
-class PhiEvidence:
-    """One developed lift at one prime."""
-
-    lift: PolyInt
-    a0_val: int | None
-    polygon_json: dict
-
-
-@dataclass(frozen=True)
-class PrimeEvidence:
-    """Everything the certificate records about one prime."""
-
-    p: int
-    ind_p: int
-    exact: bool
-    dedekind: bool
-    dedekind_agrees: bool
-    phis: tuple[PhiEvidence, ...]
-
-    def to_json_dict(self) -> dict:
-        row: dict = {"p": self.p}
-        if len(self.phis) == 1:
-            ev = self.phis[0]
-            row["lift"] = ev.lift.to_text()
-            row["a0_val"] = ev.a0_val
-            row["polygon"] = ev.polygon_json
-        else:
-            row["lift"] = None
-            row["a0_val"] = None
-            row["polygon"] = None
-            row["phis"] = [
-                {
-                    "lift": ev.lift.to_text(),
-                    "a0_val": ev.a0_val,
-                    "polygon": ev.polygon_json,
-                }
-                for ev in self.phis
-            ]
-        row["ind_p"] = self.ind_p
-        row["exact"] = self.exact
-        row["dedekind"] = self.dedekind
-        return row
-
-
-@dataclass(frozen=True)
 class MonogenicityCertificate:
-    """Per-prime evidence plus the global verdict for one alpha."""
+    """The `IndexReport` of each prime plus the global verdict for one alpha."""
 
     alpha: int
     verdict: str  # "monogenic" | "not_certified" | "hypothesis_failed"
     hypothesis_ok: bool
     field_disc: int | None = None
-    primes: tuple[PrimeEvidence, ...] = ()
+    primes: tuple[IndexReport, ...] = ()
     trust: tuple[str, ...] = field(default=())
     reduction_ok: bool | None = None
     reason: str | None = None
@@ -141,7 +110,7 @@ class MonogenicityCertificate:
             "verdict": self.verdict,
             "hypothesis_ok": self.hypothesis_ok,
             "field_disc": str(self.field_disc) if self.field_disc is not None else None,
-            "primes": [row.to_json_dict() for row in self.primes],
+            "primes": [_row_json(report) for report in self.primes],
             "trust": list(self.trust),
             "reduction_ok": self.reduction_ok,
             "reason": self.reason,
@@ -151,28 +120,23 @@ class MonogenicityCertificate:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _evidence_from_report(report: IndexReport) -> PrimeEvidence:
-    ind, dedekind = report.ind_p_lower_bound, report.dedekind
-    if report.exact:
-        agrees = (ind == 0) == dedekind
+def _row_json(report: IndexReport) -> dict:
+    """The schema-v1 row of one prime; several lifts go under "phis"."""
+    phis = [
+        {
+            "lift": r.phi.to_text(),
+            "a0_val": r.a0_val,
+            "polygon": r.polygon.to_json_dict(ind=r.ind_phi),
+        }
+        for r in report.per_phi
+    ]
+    row: dict = {"p": report.p}
+    if len(phis) == 1:
+        row.update(phis[0])
     else:
-        # an inexact positive bound still forces a positive index
-        agrees = not (ind > 0 and dedekind)
-    return PrimeEvidence(
-        p=report.p,
-        ind_p=ind,
-        exact=report.exact,
-        dedekind=dedekind,
-        dedekind_agrees=agrees,
-        phis=tuple(
-            PhiEvidence(
-                lift=r.phi,
-                a0_val=r.a0_val,
-                polygon_json=r.polygon.to_json_dict(ind=r.ind_phi),
-            )
-            for r in report.per_phi
-        ),
-    )
+        row.update(lift=None, a0_val=None, polygon=None, phis=phis)
+    row.update(ind_p=report.ind_p_lower_bound, exact=report.exact, dedekind=report.dedekind)
+    return row
 
 
 def _certificate(
@@ -183,14 +147,13 @@ def _certificate(
     reduction_ok: bool | None = None,
 ) -> MonogenicityCertificate:
     """Per-prime rows and the verdict of a certificate whose hypothesis holds."""
-    rows = tuple(_evidence_from_report(report) for report in reports)
-    ok = all(row.ind_p == 0 and row.exact and row.dedekind_agrees for row in rows)
+    ok = all(r.ind_p_lower_bound == 0 and r.exact and r.dedekind for r in reports)
     return MonogenicityCertificate(
         alpha=alpha,
         verdict="monogenic" if ok else "not_certified",
         hypothesis_ok=True,
         field_disc=field_disc if ok else None,
-        primes=rows,
+        primes=tuple(reports),
         trust=trust,
         reduction_ok=reduction_ok,
         reason=None if ok else "a prime produced a nonzero or inexact index bound",
@@ -220,7 +183,6 @@ def _budget_left(budget_ms: int | None, start: float) -> float | None:
 
 def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:
     """Curve-guided monogenicity certificate for T^4 - 6T^2 - alpha*T - 3."""
-    f3 = three_torsion_quartic(alpha)
     if alpha in (8, -8):
         return MonogenicityCertificate(
             alpha, "hypothesis_failed", False,
@@ -244,11 +206,8 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
             alpha, "hypothesis_failed", False, trust=trust,
             reason="alpha - 8 or alpha + 8 is not squarefree",
         )
-    if not is_irreducible_quartic(f3):
-        return MonogenicityCertificate(
-            alpha, "hypothesis_failed", False, trust=trust,
-            reason="the quartic is reducible over Q",
-        )
+    # alpha != +-8, so the quartic is irreducible (see three_torsion_quartic)
+    f3 = three_torsion_quartic(alpha)
     curve = tate_curve(alpha, 1)
     bad = set(fact_minus.primes() + fact_plus.primes())
     plist = {3} | {q for q in bad if q >= 5}
@@ -281,12 +240,13 @@ def montes_certificate(
     disc = discriminant(poly)
     if disc == 0:
         raise MathDomainError("polynomial must be squarefree over Q")
-    if not is_irreducible_quartic(poly):
-        return MonogenicityCertificate(
-            label, "hypothesis_failed", False, reason="the quartic is reducible over Q"
-        )
+    start = time.monotonic()  # one deadline for the whole request
     try:
-        fact = factor(int(disc), budget_ms=budget_ms)
+        if not is_irreducible_quartic(poly, budget_ms=budget_ms):
+            return MonogenicityCertificate(
+                label, "hypothesis_failed", False, reason="the quartic is reducible over Q"
+            )
+        fact = factor(int(disc), budget_ms=_budget_left(budget_ms, start))
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
             label, "not_certified", True, reason=f"factorization budget exceeded: {exc}"
@@ -310,31 +270,28 @@ class GaloisSignature:
 
 
 def galois_signature(alpha: int) -> GaloisSignature:
-    """S4 detection (resolvent cubic + non-square discriminant) and the
-    number of real embeddings via Sturm."""
-    f3 = three_torsion_quartic(alpha)
-    if not is_irreducible_quartic(f3):
+    """S4 detection (resolvent cubic) and the number of real embeddings via
+    Sturm.  The discriminant -27 (alpha - 8)^2 (alpha + 8)^2 is negative, so
+    never a square, and the group is S4 iff the resolvent has no root."""
+    if alpha in (8, -8):
         raise MathDomainError("the quartic is reducible; no Galois group of a field")
     # the resolvent x^3 + 6x^2 + 12x + 72 - alpha^2 is (x + 2)^3 - (alpha^2 - 64),
     # so it has a rational root iff alpha^2 - 64 is an integer cube
     m = abs(alpha * alpha - 64)
     resolvent_has_root = _integer_nth_root(m, 3) ** 3 == m
-    disc = discriminant(f3)
-    is_square = disc > 0 and all(
-        math.isqrt(x) ** 2 == x for x in (disc.numerator, disc.denominator)
+    return GaloisSignature(
+        group="other" if resolvent_has_root else "S4",
+        real_roots=count_real_roots(three_torsion_quartic(alpha)),
     )
-    group = "S4" if not resolvent_has_root and not is_square else "other"
-    return GaloisSignature(group=group, real_roots=count_real_roots(f3))
 
 
 def unit_norm_check(alpha: int) -> int:
-    """Norm of 1 + (alpha/3) theta + 2 theta^2 via a resultant; must be +-1."""
+    """Norm of 1 + (alpha/3) theta + 2 theta^2 via a resultant; must be +-1.
+
+    3 | alpha excludes alpha = +-8, so the quartic is irreducible."""
     if alpha % 3:
         raise MathDomainError("unit_norm_check needs 3 | alpha")
-    f3 = three_torsion_quartic(alpha)
-    if not is_irreducible_quartic(f3):
-        raise MathDomainError("the quartic is reducible")
-    norm = resultant(f3, PolyInt((1, alpha // 3, 2)))
+    norm = resultant(three_torsion_quartic(alpha), PolyInt((1, alpha // 3, 2)))
     if norm not in (1, -1):
         raise MathDomainError(f"norm {norm} is not a unit; family claim violated")
     return int(norm)

@@ -197,7 +197,7 @@ def _print_cert(cert) -> None:
         print(f"  field discriminant = {cert.field_disc}")
     for row in cert.primes:
         print(
-            f"  p = {row.p}: ind_p = {row.ind_p}"
+            f"  p = {row.p}: ind_p = {row.ind_p_lower_bound}"
             f" ({'exact' if row.exact else 'bound'}), dedekind maximal = {row.dedekind}"
         )
     if cert.reason:
@@ -362,10 +362,7 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except MathDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MonodivError as exc:  # pragma: no cover - defensive
+    except MonodivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError) as exc:

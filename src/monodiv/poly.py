@@ -199,10 +199,6 @@ class PolyInt(_DensePoly):
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c: int) -> "PolyInt":
-        return cls((c,))
-
-    @classmethod
     def from_text(cls, text: str) -> "PolyInt":
         return cls(int(part.strip()) for part in text.split(","))
 
@@ -267,14 +263,6 @@ class PolyRat(_DensePoly):
             return PolyInt.zero(), 1
         d = math.lcm(*(c.denominator for c in self.coeffs))
         return PolyInt(int(c * d) for c in self.coeffs), d
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int(self) -> PolyInt:
-        if not self.is_integral():
-            raise MathDomainError("polynomial has non-integral coefficients")
-        return PolyInt(int(c) for c in self.coeffs)
 
 
 class PolyModP(_DensePoly):

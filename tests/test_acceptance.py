@@ -221,7 +221,9 @@ def test_criterion_09_galois_signature():
         sig = galois_signature(alpha)
         assert sig.group == "S4" and sig.real_roots == 2, alpha
         checked += 1
-    assert checked == 41  # every alpha in 9..50 except 24 is irreducible
+    # every alpha in 9..50 is irreducible; 24 is skipped because its
+    # resolvent has a rational root
+    assert checked == 41
     report(9, f"{checked} fields in alpha = 9..50 (skipping 24) are S4 with 2 real roots")
 
 

@@ -21,7 +21,7 @@ from monodiv import (
     three_torsion_quartic,
     unit_norm_check,
 )
-from monodiv.certify import field_discriminant, is_irreducible_quartic
+from monodiv.certify import field_discriminant, is_irreducible_quartic, montes_certificate
 
 certify_module = importlib.import_module("monodiv.certify")
 
@@ -49,6 +49,20 @@ def test_irreducibility_tester():
     assert not is_irreducible_quartic(g)
 
 
+def test_quartic_is_reducible_exactly_at_alpha_plus_minus_8():
+    # the closed form beside three_torsion_quartic, which certify,
+    # galois_signature and unit_norm_check rely on instead of testing
+    reducible = [
+        a for a in range(-5000, 5001)
+        if not is_irreducible_quartic(three_torsion_quartic(a))
+    ]
+    assert reducible == [-8, 8]
+    rng = random.Random("closed_form_irreducible")
+    for _ in range(200):
+        alpha = rng.choice((-1, 1)) * rng.randrange(2**59, 2**61)
+        assert is_irreducible_quartic(three_torsion_quartic(alpha)), alpha
+
+
 def test_field_discriminant_formula():
     assert field_discriminant(2) == -97200
 
@@ -61,7 +75,9 @@ def test_certify_alpha_2():
     assert cert.verdict == "monogenic"
     assert cert.field_disc == -97200
     assert [row.p for row in cert.primes] == [2, 3, 5]
-    assert all(row.ind_p == 0 and row.exact and row.dedekind for row in cert.primes)
+    assert all(
+        row.ind_p_lower_bound == 0 and row.exact and row.dedekind for row in cert.primes
+    )
     assert cert.reduction_ok is True
     assert cert.trust == ()
 
@@ -132,9 +148,9 @@ def test_certify_odd_alpha_has_no_p2_row():
 def test_certify_even_alpha_p2_constant_term():
     cert = certify(2)
     row = next(r for r in cert.primes if r.p == 2)
-    assert len(row.phis) == 1
-    assert row.phis[0].a0_val == 1
-    assert row.phis[0].lift.to_text() == "-1,1"
+    assert len(row.per_phi) == 1
+    assert row.per_phi[0].a0_val == 1
+    assert row.per_phi[0].phi.to_text() == "-1,1"
 
 
 def test_certify_known_monogenic_list():
@@ -191,7 +207,7 @@ def test_generic_and_guided_never_contradict():
             for cert in (guided, generic):
                 if cert.verdict != "monogenic":
                     assert not any(
-                        row.exact and row.ind_p > 0 for row in cert.primes
+                        row.exact and row.ind_p_lower_bound > 0 for row in cert.primes
                     ), alpha
 
 
@@ -199,7 +215,7 @@ def test_generic_alpha_16_exact_positive_index():
     cert = certify_generic(16)
     assert cert.verdict == "not_certified"
     row = next(r for r in cert.primes if r.p == 2)
-    assert row.ind_p == 3 and row.exact and not row.dedekind
+    assert row.ind_p_lower_bound == 3 and row.exact and not row.dedekind
     # guided path refuses at the hypothesis stage; no contradiction
     assert certify(16).verdict == "hypothesis_failed"
 
@@ -258,8 +274,9 @@ def test_galois_signature_factors_nothing_large(monkeypatch):
 
 
 def test_galois_rejects_reducible():
-    with pytest.raises(MathDomainError):
-        galois_signature(8)
+    for alpha in (8, -8):
+        with pytest.raises(MathDomainError, match="reducible"):
+            galois_signature(alpha)
 
 
 def test_unit_norm_examples():
@@ -268,8 +285,9 @@ def test_unit_norm_examples():
 
 
 def test_unit_norm_rejects_bad_input():
-    with pytest.raises(MathDomainError):
-        unit_norm_check(4)
+    for alpha in (4, 8, -8):
+        with pytest.raises(MathDomainError, match="needs 3"):
+            unit_norm_check(alpha)
 
 
 # --- scan -----------------------------------------------------------------------
@@ -336,22 +354,53 @@ def test_survey_rejects_unknown_family():
 # --- certificate JSON corner: several developed lifts at one prime ---------------
 
 
-def test_multi_phi_evidence_json_shape():
-    from monodiv import PolyInt
-    from monodiv.certify import PhiEvidence, PrimeEvidence
-
-    ev = PrimeEvidence(
-        p=3,
-        ind_p=2,
-        exact=True,
-        dedekind=False,
-        dedekind_agrees=True,
-        phis=(
-            PhiEvidence(lift=PolyInt((0, 1)), a0_val=None, polygon_json={"points": []}),
-            PhiEvidence(lift=PolyInt((1, 1)), a0_val=None, polygon_json={"points": []}),
-        ),
+def test_multi_lift_row_json_shape():
+    cert = montes_certificate(PolyInt((-3, 0, 1, -2, 1)))
+    assert cert.verdict == "monogenic"
+    row = next(r for r in cert.to_json_dict()["primes"] if r["p"] == 3)
+    assert row["lift"] is None and row["a0_val"] is None and row["polygon"] is None
+    assert [phi["lift"] for phi in row["phis"]] == ["0,1", "2,1"]
+    assert row["ind_p"] == 0 and row["exact"] is True and row["dedekind"] is True
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == (
+        "06b8c0557114ba10deb58b0bcffb8ae1d8b3b4f20bf3fa64a027d9b2085f43db"
     )
-    row = ev.to_json_dict()
-    assert row["lift"] is None and row["polygon"] is None
-    assert [p["lift"] for p in row["phis"]] == ["0,1", "1,1"]
-    assert row["ind_p"] == 2 and row["dedekind"] is False
+
+
+# --- Montes path: golden digest and one budget per request ------------------------
+
+
+def test_certify_generic_json_digest():
+    # 207 not_certified certificates, 82 with an inexact row, which scan never reaches
+    texts = "\n".join(
+        certify_generic(a).to_json() for a in range(-200, 201) if a not in (8, -8)
+    )
+    assert hashlib.sha256(texts.encode()).hexdigest() == (
+        "06bebbe9c9d98c3cb9b49a2a36c88b5ca59df0b05355000d29903a84693706c1"
+    )
+
+
+def test_montes_spends_one_budget_on_the_whole_request(monkeypatch):
+    # the irreducibility test factors c0 through arith.divisors -> arith.factor
+    budgets = []
+    for module in (importlib.import_module("monodiv.arith"), certify_module):
+        def recording(n, budget_ms=None, _inner=module.factor):
+            budgets.append(budget_ms)
+            time.sleep(0.01)
+            return _inner(n, budget_ms=budget_ms)
+
+        monkeypatch.setattr(module, "factor", recording)
+    assert montes_certificate(three_torsion_quartic(2), budget_ms=1000).verdict == "monogenic"
+    # c0 = -3, then disc: both finite, and each gets what is left
+    assert len(budgets) == 2 and None not in budgets
+    assert budgets[0] == 1000 and budgets[1] <= 990
+
+
+def test_montes_budget_covers_the_irreducibility_test():
+    # c0 is a 122-bit semiprime: factoring it for the divisor search would
+    # take minutes of rho
+    n = (2**61 - 1) * 1152921504606847009
+    start = time.monotonic()
+    cert = montes_certificate(PolyInt((n, 1, 0, 0, 1)), budget_ms=50)
+    assert time.monotonic() - start < 1.0
+    assert cert.verdict == "not_certified"
+    assert cert.reason.startswith("factorization budget exceeded")

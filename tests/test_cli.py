@@ -154,6 +154,22 @@ def test_division_polynomial_golden_digests(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == DIVISION_GOLDEN_DIGESTS[argv]
 
 
+# sha256 of `survey --family F --s -4:5 --t -4:5 --json`; each grid runs the
+# Montes pass on its squarefree specializations
+SURVEY_GOLDEN_DIGESTS = {
+    "A": "15c535a1b210731f4c6947937367d71db5b2da9b1bb2055400d4dd87a4fe0a04",
+    "B": "275ec2f3b64d88c2241e16314fe4efed3282467a454484365fc15523f9aad6f9",
+    "C": "d289daf3809baa4b26e6c7b7375dd8bf47a90c6414168a127c7c6e04822752ef",
+}
+
+
+@pytest.mark.parametrize("family", list(SURVEY_GOLDEN_DIGESTS))
+def test_survey_json_golden_digests(family):
+    code, out, _ = invoke("survey", "--family", family, "--s=-4:5", "--t=-4:5", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_GOLDEN_DIGESTS[family]
+
+
 def test_survey_json():
     code, out, _ = invoke("survey", "--family", "B", "--s", "0:0", "--t", "1:1", "--json")
     assert code == 0
