@@ -104,6 +104,13 @@ def _check_deadline(deadline: float | None, what: int) -> None:
         raise BudgetExceededError(f"factorization budget exhausted on {what}")
 
 
+def _budget_left(budget_ms: int | None, start: float) -> float | None:
+    """What is left of one request's budget since ``start``, floored at 0."""
+    if budget_ms is None:
+        return None
+    return max(0.0, budget_ms - 1000.0 * (time.monotonic() - start))
+
+
 def _integer_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1."""
     if n < 2:

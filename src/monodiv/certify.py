@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .arith import _integer_nth_root, divisors, factor, vp
+from .arith import _budget_left, _integer_nth_root, divisors, factor, vp
 from .elliptic import TateNormalCurve, tate_curve
 from .errors import BudgetExceededError, MathDomainError
 # perfbench/spans.py patches dedekind_p_maximal and reduction_table in this
@@ -174,13 +174,6 @@ def _guided_lift(alpha: int, p: int, curve: TateNormalCurve | None) -> PolyInt:
     return PolyInt((-t0, 1))
 
 
-def _budget_left(budget_ms: int | None, start: float) -> float | None:
-    """What is left of one request's budget since ``start``, floored at 0."""
-    if budget_ms is None:
-        return None
-    return max(0.0, budget_ms - 1000.0 * (time.monotonic() - start))
-
-
 def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:
     """Curve-guided monogenicity certificate for T^4 - 6T^2 - alpha*T - 3."""
     if alpha in (8, -8):
@@ -241,15 +234,17 @@ def montes_certificate(
     if disc == 0:
         raise MathDomainError("polynomial must be squarefree over Q")
     start = time.monotonic()  # one deadline for the whole request
+    irreducible = False  # the hypothesis holds once the test has returned True
     try:
         if not is_irreducible_quartic(poly, budget_ms=budget_ms):
             return MonogenicityCertificate(
                 label, "hypothesis_failed", False, reason="the quartic is reducible over Q"
             )
+        irreducible = True
         fact = factor(int(disc), budget_ms=_budget_left(budget_ms, start))
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
-            label, "not_certified", True, reason=f"factorization budget exceeded: {exc}"
+            label, "not_certified", irreducible, reason=f"factorization budget exceeded: {exc}"
         )
     trust = tuple(f"prime {q} of disc is probable, not certified" for q in fact.probable)
     reports = [index_report(poly, p) for p in fact.primes() if vp(int(disc), p) >= 2]
@@ -298,8 +293,9 @@ def unit_norm_check(alpha: int) -> int:
 
 
 def scan(lo: int, hi: int, budget_ms: int | None = None) -> list[MonogenicityCertificate]:
-    """Certify every alpha in [lo, hi], ordered by alpha."""
-    return [certify(a, budget_ms=budget_ms) for a in range(lo, hi + 1)]
+    """Certify every alpha in [lo, hi], ordered by alpha, under one budget."""
+    start = time.monotonic()
+    return [certify(a, budget_ms=_budget_left(budget_ms, start)) for a in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)

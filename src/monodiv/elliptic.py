@@ -292,9 +292,8 @@ def verdure_disc(n: int, delta: Fraction | int) -> Fraction:
 
 
 def fueter_disc(n: int, alpha: int, beta: int) -> Fraction:
-    """Closed-form discriminant of the odd Fueter polynomial F_n."""
+    """Closed-form discriminant of the odd Fueter polynomial F_n: the odd-n
+    `verdure_disc` with Delta = (alpha - 8 beta)(alpha + 8 beta) / beta^2."""
     if n % 2 == 0:
         raise MathDomainError("the Fueter discriminant formula is for odd n")
-    sign = -1 if ((n - 1) // 2) % 2 else 1
-    base = Fraction((alpha - 8 * beta) * (alpha + 8 * beta), beta * beta)
-    return sign * Fraction(n) ** ((n * n - 3) // 2) * base ** ((n**4 - 4 * n * n + 3) // 24)
+    return verdure_disc(n, Fraction((alpha - 8 * beta) * (alpha + 8 * beta), beta * beta))

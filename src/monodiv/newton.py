@@ -5,7 +5,8 @@ convex hull of (j, v_p(a_j)) carries the local index data: the lattice points
 with x >= 1 and y >= 1 on or under the polygon bound v_p of the index, with
 equality when every side's residual polynomial is separable (p-regularity).
 Dedekind's criterion is an independent oracle for the "index is prime to p"
-conclusion; `index_report` runs it on the same factorization mod p and
+conclusion, in its per-factor form on the factor list mod p (Cohen, GTM 138,
+Thm 6.1.4); `index_report` runs it on the factorization its polygons use and
 records its answer in `IndexReport.dedekind`.
 """
 
@@ -202,8 +203,7 @@ def index_report(
     require_prime(p)
     if resultant(Phi, Phi.derivative()) == 0:
         raise MathDomainError("Phi must be squarefree over Q")
-    fbar = Phi.reduce_mod(p)
-    factors = factor_mod_p(fbar)
+    factors = factor_mod_p(Phi.reduce_mod(p))
     lift_map = {}
     for L in lifts or ():
         if not L.is_monic:
@@ -241,7 +241,7 @@ def index_report(
         per_phi=tuple(reports),
         ind_p_lower_bound=sum(r.ind_phi for r in reports),
         exact=all(r.regular for r in reports),
-        dedekind=_dedekind(Phi, p, fbar, factors),
+        dedekind=_dedekind(Phi, p, factors),
     )
 
 
@@ -250,23 +250,14 @@ def dedekind_p_maximal(Phi: PolyInt, p: int) -> bool:
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
     require_prime(p)
-    fbar = Phi.reduce_mod(p)
-    return _dedekind(Phi, p, fbar, factor_mod_p(fbar))
+    return _dedekind(Phi, p, factor_mod_p(Phi.reduce_mod(p)))
 
 
-def _dedekind(
-    Phi: PolyInt, p: int, fbar: PolyModP, factors: list[tuple[PolyModP, int]]
-) -> bool:
-    """With Phi-bar = prod g_i^e_i, g = prod g_i and h a monic lift of
-    Phi-bar / g-bar, test gcd((gh - Phi)/p, g, h) = 1 over F_p."""
-    g_bar = PolyModP.one(p)
-    for fac, _ in factors:
-        g_bar = g_bar * fac
-    h_bar = fbar // g_bar
-    g, h = g_bar.lift(), h_bar.lift()
-    F = (g * h - Phi).exact_scalar_div(p)
-    F_bar = F.reduce_mod(p)
-    d = g_bar.gcd(h_bar)
-    if not F_bar.is_zero:
-        d = d.gcd(F_bar)
-    return d.degree == 0
+def _dedekind(Phi: PolyInt, p: int, factors: list[tuple[PolyModP, int]]) -> bool:
+    """With Phi-bar = prod phi_i^e_i and F = (Phi - prod lift(phi_i)^e_i)/p,
+    Z[theta] is maximal at p iff no phi_i with e_i >= 2 divides F-bar."""
+    prod = PolyInt.one()
+    for fac, e in factors:
+        prod = prod * fac.lift() ** e
+    F_bar = (Phi - prod).exact_scalar_div(p).reduce_mod(p)
+    return not any(e >= 2 and (F_bar % fac).is_zero for fac, e in factors)

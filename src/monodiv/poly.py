@@ -638,12 +638,15 @@ def resultant(f, g) -> Fraction:
 
 
 def discriminant(f) -> Fraction:
-    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f) for nonconstant f."""
+    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f) for nonconstant f; a
+    rational f = F/den goes through its integral F: disc(F) / den^(2d-2)."""
     if f.is_zero or f.degree < 1:
         raise MathDomainError("discriminant requires a nonconstant polynomial")
-    d = f.degree
+    F, den = (f, 1) if isinstance(f, PolyInt) else f.clear_denominators()
+    d = F.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc
+    res = _resultant_int(F.coeffs, F.derivative().coeffs)
+    return Fraction(sign * res, F.lc * den ** (2 * d - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ f and component count c are reported only where the closed forms state them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from .arith import factor, legendre, vp
+from .arith import _budget_left, factor, legendre, vp
 from .elliptic import tate_curve
 from .errors import MathDomainError
 from .valuation import singular_case
@@ -186,12 +187,14 @@ def classify_two(alpha: int, beta: int) -> ReductionData:
 
 
 def bad_primes(alpha: int, beta: int, budget_ms: int | None = None) -> list[int]:
-    """Primes dividing Delta = beta^4 (alpha - 8 beta) (alpha + 8 beta)^7."""
+    """Primes dividing Delta = beta^4 (alpha - 8 beta) (alpha + 8 beta)^7,
+    the three factorizations under one budget."""
     tate_curve(alpha, beta)
+    start = time.monotonic()
     primes: set[int] = set()
     for part in (beta, alpha - 8 * beta, alpha + 8 * beta):
         if part not in (1, -1):
-            primes.update(factor(part, budget_ms=budget_ms).primes())
+            primes.update(factor(part, budget_ms=_budget_left(budget_ms, start)).primes())
     return sorted(primes)
 
 

@@ -127,12 +127,9 @@ def observed_fueter_valuation(
 
 
 def singular_T(case: SingularCase, curve: TateNormalCurve, p: int) -> int:
-    """Repeated-root location of F_n mod p, as an element of [0, p)."""
-    if case.tag in ("plus", "beta"):
-        return 1
-    ab = curve.a * curve.beta
-    den = (singular_x(case, curve) + ab) % p
-    if den == 0:
-        # -a*beta = -16 beta^2 != -32 beta^2 mod p for odd p coprime to beta
-        raise MathDomainError("unreachable: singular x collides with the T-pole")
-    return ab % p * pow(den, -1, p) % p
+    """Repeated-root location of F_n mod p, as an element of [0, p): the
+    reduction of `singular_fueter_T`.  Its denominator divides a - 32 beta,
+    which is -16 beta mod p when p | alpha - 8 beta: a unit for odd p prime
+    to beta."""
+    T = singular_fueter_T(case, curve)
+    return T.numerator * pow(T.denominator, -1, p) % p

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from monodiv import (
+    BudgetExceededError,
     MathDomainError,
     PolyInt,
     certify,
@@ -346,6 +347,26 @@ def test_survey_spends_one_budget_on_the_whole_request(monkeypatch):
     assert budgets[6:] == [0.0] * len(budgets[6:])
 
 
+def test_scan_spends_one_budget_on_the_whole_request(monkeypatch):
+    budgets = []
+
+    def slow(n, budget_ms=None, _inner=certify_module.factor):
+        budgets.append(budget_ms)
+        time.sleep(0.02)
+        return _inner(n, budget_ms=budget_ms)
+
+    expected = [c.to_json() for c in scan(1, 10)]
+    monkeypatch.setattr(certify_module, "factor", slow)
+    certs = scan(1, 10, budget_ms=50)
+    # alpha -+ 8 for nine alphas (8 returns early); each call gets what is left
+    assert len(budgets) == 18
+    assert 30 < budgets[0] <= 50
+    assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
+    assert budgets[3:] == [0.0] * len(budgets[3:])
+    # no rho work is needed at this size, so a spent budget changes no verdict
+    assert [c.to_json() for c in certs] == expected
+
+
 def test_survey_rejects_unknown_family():
     with pytest.raises(MathDomainError):
         survey_family("D", (0, 1), (0, 1))
@@ -403,4 +424,17 @@ def test_montes_budget_covers_the_irreducibility_test():
     cert = montes_certificate(PolyInt((n, 1, 0, 0, 1)), budget_ms=50)
     assert time.monotonic() - start < 1.0
     assert cert.verdict == "not_certified"
+    assert cert.reason.startswith("factorization budget exceeded")
+    # the budget ran out before irreducibility was decided
+    assert cert.hypothesis_ok is False
+
+
+def test_montes_budget_spent_on_disc_keeps_the_decided_hypothesis(monkeypatch):
+    # irreducibility is decided through arith.factor; only factor(disc) fails
+    def exhausted(n, budget_ms=None):
+        raise BudgetExceededError(f"factorization budget exhausted on {n}")
+
+    monkeypatch.setattr(certify_module, "factor", exhausted)
+    cert = montes_certificate(three_torsion_quartic(2), budget_ms=1000)
+    assert cert.verdict == "not_certified" and cert.hypothesis_ok is True
     assert cert.reason.startswith("factorization budget exceeded")

@@ -17,8 +17,9 @@ from monodiv import (
     phi_development,
     residual_polynomial,
 )
-from monodiv.newton import PolygonSide, _polygon_from_values
-from monodiv.poly import PolyFq
+from monodiv import certify
+from monodiv.newton import PolygonSide, _dedekind, _polygon_from_values
+from monodiv.poly import PolyFq, factor_mod_p
 
 F3 = lambda alpha: PolyInt((-3, -alpha, -6, 0, 1))
 T_MINUS = lambda t0: PolyInt((-t0, 1))
@@ -303,6 +304,69 @@ def test_montes_vs_dedekind_small_corpus(rng):
             if rep.ind_p_lower_bound > 0:
                 assert not dedekind_p_maximal(f, p)
     assert checked >= 200
+
+
+# --- Dedekind on the factor list against the former gcd form -------------------
+
+
+def _dedekind_gcd_reference(Phi, p, factors):
+    """The former form: with g = prod phi_i and h a lift of Phi-bar / g-bar,
+    test gcd((gh - Phi)/p, g, h) = 1 over F_p."""
+    fbar = Phi.reduce_mod(p)
+    g_bar = PolyModP.one(p)
+    for fac, _ in factors:
+        g_bar = g_bar * fac
+    h_bar = fbar // g_bar
+    g, h = g_bar.lift(), h_bar.lift()
+    F_bar = (g * h - Phi).exact_scalar_div(p).reduce_mod(p)
+    d = g_bar.gcd(h_bar)
+    if not F_bar.is_zero:
+        d = d.gcd(F_bar)
+    return d.degree == 0
+
+
+def _dedekind_corpus(rng, cases):
+    """Monic integer Phi of degree 1-8 with a prime p; every other case is a
+    product of prime powers mod p (p-th powers included), perturbed by p*g."""
+    for i in range(cases):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 31, 10007])
+        deg = rng.randint(1, 8)
+        if i % 2:
+            yield PolyInt([rng.randint(-50, 50) for _ in range(deg)] + [1]), p
+            continue
+        Phi = PolyInt.one()
+        while Phi.degree < deg:
+            d = rng.randint(1, min(2, deg - Phi.degree))
+            base = PolyInt([rng.randrange(p) for _ in range(d)] + [1])
+            e = rng.choice([1, 2, 3, p]) if p <= 8 else rng.choice([1, 2, 3])
+            e = max(1, min(e, (deg - Phi.degree) // d))
+            Phi = Phi * base**e
+        if Phi.degree > 1:
+            scale = p * rng.choice([1, 1, p])
+            tail = [rng.randint(-9, 9) for _ in range(rng.randint(0, Phi.degree))]
+            Phi = Phi + PolyInt(scale * c for c in tail)
+        yield Phi, p
+
+
+def test_dedekind_on_factor_list_matches_gcd_form():
+    outcomes = []
+    for Phi, p in _dedekind_corpus(random.Random(20261018), 3000):
+        factors = factor_mod_p(Phi.reduce_mod(p))
+        expected = _dedekind_gcd_reference(Phi, p, factors)
+        assert _dedekind(Phi, p, factors) == expected, (Phi, p)
+        outcomes.append(expected)
+    assert outcomes.count(False) > 300 and outcomes.count(True) > 300
+
+
+def test_certificate_dedekind_rows_match_gcd_form():
+    rows = 0
+    for alpha in range(-300, 301):
+        for row in certify(alpha).primes:
+            f3 = F3(alpha)
+            factors = factor_mod_p(f3.reduce_mod(row.p))
+            assert row.dedekind == _dedekind_gcd_reference(f3, row.p, factors), (alpha, row.p)
+            rows += 1
+    assert rows > 1000
 
 
 # --- polynomials over F_p[x]/(phi) against the former free functions ---------

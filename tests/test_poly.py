@@ -349,6 +349,35 @@ def test_subresultant_matches_polyint_reference():
         _check_against_reference(F, F.derivative())
 
 
+def _reference_discriminant(f):
+    """The former route: differentiate f in its own ring, then the resultant
+    clears the denominators of f and f' separately."""
+    d = f.degree
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant(f, f.derivative()) / f.lc
+
+
+def test_discriminant_matches_the_former_route():
+    rng = random.Random(20261019)
+    corpus = []
+    for _ in range(600):
+        deg = rng.randint(1, 9)
+        lead = rng.choice([1, -1, 2, -3, 6, 7])
+        corpus.append(PolyInt([rng.randint(-30, 30) for _ in range(deg)] + [lead]))
+        corpus.append(
+            PolyRat(
+                [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(deg)]
+                + [Fraction(rng.choice([1, -1, 3, -5]), rng.randint(1, 12))]
+            )
+        )
+    for alpha, beta in ((2, 1), (-1399, 40), (7, 3), (977, 37)):
+        tc = tate_curve(alpha, beta)
+        corpus += [fueter(tc, n).poly for n in (3, 4, 5, 7)]
+        corpus.append(psi(tc.weierstrass, 6).poly)
+    for f in corpus:
+        assert discriminant(f) == _reference_discriminant(f), f
+
+
 # --- real roots and rational roots -------------------------------------------
 
 

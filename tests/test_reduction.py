@@ -1,3 +1,6 @@
+import importlib
+import time
+
 import pytest
 
 from monodiv import (
@@ -209,3 +212,22 @@ def test_singular_parameters_rejected():
         reduction_table(8, 1)
     with pytest.raises(MathDomainError):
         classify_odd(6, 3, 3)  # not coprime
+
+
+def test_reduction_table_spends_one_budget_on_the_whole_request(monkeypatch):
+    budgets = []
+    module = importlib.import_module("monodiv.reduction")
+
+    def slow(n, budget_ms=None, _inner=module.factor):
+        budgets.append(budget_ms)
+        time.sleep(0.06)
+        return _inner(n, budget_ms=budget_ms)
+
+    expected = reduction_table(7, 3)
+    monkeypatch.setattr(module, "factor", slow)
+    # beta = 3, alpha - 8 beta = -17, alpha + 8 beta = 31: three factorizations
+    assert reduction_table(7, 3, budget_ms=100) == expected
+    assert len(budgets) == 3
+    assert 60 < budgets[0] <= 100
+    assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
+    assert budgets[1] <= 40 and budgets[2] == 0.0
