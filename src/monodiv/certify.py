@@ -7,12 +7,14 @@ development base T - T0 placed at the singular Fueter coordinate.  Each row
 of a certificate is the `IndexReport` that `index_report` returned for its
 prime: the polygon index bound must be exactly zero and Dedekind's criterion
 (`IndexReport.dedekind`, run on the same factorization mod p) must hold.
-The Kodaira types of the curve are classified at the primes of the same
-factorization of alpha -+ 8.
 
-The family's closed forms stand in for re-checks: the quartic has
-discriminant -27 (alpha - 8)^2 (alpha + 8)^2, which is never a square, and it
-is irreducible over Q for every alpha except +-8 (see `three_torsion_quartic`).
+The family's closed forms stand in for re-checks and for the curve analysis:
+the quartic has discriminant -27 (alpha - 8)^2 (alpha + 8)^2, which is never
+a square and always negative (two real roots), and it is irreducible over Q
+for every alpha except +-8 (see `three_torsion_quartic`).  With alpha -+ 8
+squarefree, the guided lifts and the Kodaira types (`reduction_ok`) follow
+from which of alpha - 8, alpha + 8 a prime divides, so `certify` builds no
+curve.
 A generic (curve-blind) Montes pass over all primes of the polynomial
 discriminant serves as a cross-check, and also powers the survey over the
 three experimental quartic families.
@@ -26,15 +28,13 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import _budget_left, _integer_nth_root, divisors, factor, vp
-from .elliptic import TateNormalCurve, tate_curve
 from .errors import BudgetExceededError, MathDomainError
 # perfbench/spans.py patches dedekind_p_maximal and reduction_table in this
 # module by name, though nothing here calls them; drop both imports together
 # with those patches.
 from .newton import IndexReport, dedekind_p_maximal, index_report  # noqa: F401
-from .poly import PolyInt, count_real_roots, discriminant, resultant
-from .reduction import classify_odd, classify_two, reduction_table  # noqa: F401
-from .valuation import singular_T, singular_case
+from .poly import PolyInt, discriminant, resultant
+from .reduction import reduction_table  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -160,17 +160,17 @@ def _certificate(
     )
 
 
-def _guided_lift(alpha: int, p: int, curve: TateNormalCurve | None) -> PolyInt:
-    """Development base prescribed by the curve analysis."""
+def _guided_lift(alpha: int, p: int) -> PolyInt:
+    """Development base T - T0 of the curve analysis, for a prime of the
+    certificate.  For p >= 5, T0 is `singular_T` of `tate_curve(alpha, 1)`:
+    the singular Fueter point reduces to -1 mod p when p | alpha - 8 and is
+    1 when p | alpha + 8 (the cases are exclusive for odd p)."""
     if p == 2:
-        return PolyInt((-1, 1))
-    if p == 3:
-        r = alpha % 3
-        t0 = 0 if r == 0 else (4 if r == 1 else -4)
-        return PolyInt((-t0, 1))
-    assert curve is not None
-    case = singular_case(curve, p)
-    t0 = singular_T(case, curve, p)
+        t0 = 1
+    elif p == 3:
+        t0 = (0, 4, -4)[alpha % 3]
+    else:
+        t0 = p - 1 if (alpha - 8) % p == 0 else 1
     return PolyInt((-t0, 1))
 
 
@@ -201,22 +201,16 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
         )
     # alpha != +-8, so the quartic is irreducible (see three_torsion_quartic)
     f3 = three_torsion_quartic(alpha)
-    curve = tate_curve(alpha, 1)
+    # 2 divides alpha -+ 8 exactly when alpha is even
     bad = set(fact_minus.primes() + fact_plus.primes())
-    plist = {3} | {q for q in bad if q >= 5}
-    if alpha % 2 == 0:
-        plist.add(2)
     reports = [
-        index_report(f3, p, lifts=[_guided_lift(alpha, p, curve)]) for p in sorted(plist)
+        index_report(f3, p, lifts=[_guided_lift(alpha, p)]) for p in sorted({3} | bad)
     ]
-    # the Kodaira types at the primes of alpha -+ 8; an even alpha has
-    # v_2(alpha + 8) = 1 here, so p = 2 is I*_1 and never a good prime
-    kinds = [
-        (classify_two(alpha, 1) if q == 2 else classify_odd(alpha, 1, q)).kodaira
-        for q in bad
-    ]
-    types_ok = all(k.kind in ("I", "I*") and k.n == 1 for k in kinds)
-    return _certificate(alpha, reports, field_discriminant(alpha), trust, types_ok)
+    # reduction_ok: squarefree alpha -+ 8 gives v = 1 at every bad prime of
+    # tate_curve(alpha, 1), so classify_odd finds I_1 (case "minus") or I*_1
+    # (case "plus", v odd: tate1-3a), and an even alpha has v_2(alpha + 8) = 1,
+    # which classify_two finds to be I*_1 (tate2-1)
+    return _certificate(alpha, reports, field_discriminant(alpha), trust, True)
 
 
 def montes_certificate(
@@ -265,9 +259,10 @@ class GaloisSignature:
 
 
 def galois_signature(alpha: int) -> GaloisSignature:
-    """S4 detection (resolvent cubic) and the number of real embeddings via
-    Sturm.  The discriminant -27 (alpha - 8)^2 (alpha + 8)^2 is negative, so
-    never a square, and the group is S4 iff the resolvent has no root."""
+    """S4 detection (resolvent cubic) and the number of real embeddings.
+    The discriminant -27 (alpha - 8)^2 (alpha + 8)^2 is negative, so never a
+    square, and the group is S4 iff the resolvent has no root; a real quartic
+    with negative discriminant has two real roots and one complex pair."""
     if alpha in (8, -8):
         raise MathDomainError("the quartic is reducible; no Galois group of a field")
     # the resolvent x^3 + 6x^2 + 12x + 72 - alpha^2 is (x + 2)^3 - (alpha^2 - 64),
@@ -276,7 +271,7 @@ def galois_signature(alpha: int) -> GaloisSignature:
     resolvent_has_root = _integer_nth_root(m, 3) ** 3 == m
     return GaloisSignature(
         group="other" if resolvent_has_root else "S4",
-        real_roots=count_real_roots(three_torsion_quartic(alpha)),
+        real_roots=2,
     )
 
 

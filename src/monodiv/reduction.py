@@ -59,7 +59,7 @@ class ReductionData:
 def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
     """Kodaira type, conductor exponent, component count at an odd bad prime."""
     curve = tate_curve(alpha, beta)
-    if p < 3:
+    if p == 2:
         raise MathDomainError("classify_odd needs an odd prime")
     case = singular_case(curve, p)
     v = case.v

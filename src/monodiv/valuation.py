@@ -23,9 +23,6 @@ from .arith import require_prime, vp, vp_fraction
 from .elliptic import TateNormalCurve, fueter, fueter_value, psi, psi_value  # noqa: F401
 from .errors import MathDomainError
 
-_CASE_TAGS = ("minus", "plus", "beta")
-
-
 @dataclass(frozen=True)
 class SingularCase:
     """Which quantity p divides: 'minus' for alpha - 8 beta, 'plus' for
@@ -38,9 +35,9 @@ class SingularCase:
 
 def singular_case(curve: TateNormalCurve, p: int) -> SingularCase:
     """Classify an odd bad prime of the curve (the cases are exclusive)."""
-    if p == 2 or p < 3:
-        raise MathDomainError("singular cases are analysed at odd primes")
     require_prime(p)
+    if p == 2:
+        raise MathDomainError("singular cases are analysed at odd primes")
     alpha, beta = curve.alpha, curve.beta
     if beta % p == 0:
         return SingularCase("beta", p, vp(beta, p))

@@ -13,12 +13,19 @@ from monodiv import (
     PolyInt,
     certify,
     certify_generic,
+    classify_odd,
+    classify_two,
+    count_real_roots,
     dedekind_p_maximal,
     discriminant,
+    factor,
     galois_signature,
     rational_roots,
     scan,
+    singular_case,
+    singular_T,
     survey_family,
+    tate_curve,
     three_torsion_quartic,
     unit_norm_check,
 )
@@ -97,8 +104,9 @@ def test_certify_alpha_8_singular():
 
 @pytest.mark.parametrize("alpha", [2, -1038203453994206589])
 def test_certify_factors_alpha_minus_plus_8_once_each(monkeypatch, alpha):
-    # the Kodaira check reads the primes of the factorizations certify made,
-    # so reduction never factors alpha -+ 8 a second time
+    # the prime list comes from the factorizations certify made, and
+    # reduction_ok is a closed form, so no Kodaira classification runs and
+    # reduction never factors alpha -+ 8 a second time
     calls = {}
     for name in ("monodiv.certify", "monodiv.reduction"):
         module = importlib.import_module(name)
@@ -137,6 +145,63 @@ def test_certify_large_json_digest():
     assert hashlib.sha256(texts.encode()).hexdigest() == (
         "cc493cf8e2d9b03aeb7de23e0270af94a46b205e7ca85154125c0c7c6e999879"
     )
+
+
+def _closed_form_alphas():
+    rng = random.Random("closed_forms")
+    large = [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(200)]
+    return [a for a in range(-2000, 2001) if a not in (8, -8)] + large
+
+
+def test_certify_closed_forms_match_the_curve_analysis():
+    # reference: the curve route that the closed forms replaced.  The lift at
+    # p = 2 and 3 is the old table; at p >= 5 it is T - singular_T of
+    # tate_curve(alpha, 1).  reduction_ok is the old Kodaira check: I_n or
+    # I*_n with n = 1 at every prime of alpha -+ 8.
+    curves = 0
+    for alpha in _closed_form_alphas():
+        cert = certify(alpha)
+        if not cert.hypothesis_ok:
+            continue
+        bad = set(factor(alpha - 8).primes() + factor(alpha + 8).primes())
+        plist = {3} | {q for q in bad if q >= 5} | ({2} if alpha % 2 == 0 else set())
+        assert [row.p for row in cert.primes] == sorted(plist), alpha
+        curve = tate_curve(alpha, 1)
+        for row in cert.primes:
+            if row.p == 2:
+                t0 = 1
+            elif row.p == 3:
+                t0 = {0: 0, 1: 4, 2: -4}[alpha % 3]
+            else:
+                t0 = singular_T(singular_case(curve, row.p), curve, row.p)
+                curves += 1
+            assert [r.phi for r in row.per_phi] == [PolyInt((-t0, 1))], (alpha, row.p)
+        kinds = [
+            (classify_two(alpha, 1) if q == 2 else classify_odd(alpha, 1, q)).kodaira
+            for q in bad
+        ]
+        types_ok = all(k.kind in ("I", "I*") and k.n == 1 for k in kinds)
+        assert cert.reduction_ok is True and types_ok, alpha
+    assert curves > 5000
+
+
+def test_certify_proves_each_prime_once(monkeypatch):
+    # the primes come from arith.factor; index_report proves each one once,
+    # and nothing else in certify asks again
+    calls = []
+    for name in ("monodiv.arith", "monodiv.newton", "monodiv.valuation"):
+        module = importlib.import_module(name)
+
+        def counted(p, _inner=module.require_prime):
+            calls.append(p)
+            return _inner(p)
+
+        monkeypatch.setattr(module, "require_prime", counted)
+    rng = random.Random("prove_once")
+    certs = [certify(rng.choice((-1, 1)) * rng.randrange(2**59, 2**61)) for _ in range(60)]
+    rows = [row.p for cert in certs for row in cert.primes]
+    assert len(rows) > 100
+    assert sorted(calls) == sorted(rows)
 
 
 def test_certify_odd_alpha_has_no_p2_row():
@@ -242,7 +307,7 @@ def test_galois_signature_examples():
 
 def test_galois_signature_matches_resolvent_root_search():
     # reference: the rational-root search on the resolvent cubic that the
-    # cube test replaced
+    # cube test replaced, and the Sturm count that the closed form replaced
     for alpha in range(-300, 301):
         f3 = three_torsion_quartic(alpha)
         if not is_irreducible_quartic(f3):
@@ -253,7 +318,9 @@ def test_galois_signature_matches_resolvent_root_search():
         )
         resolvent = PolyInt((72 - alpha * alpha, 12, 6, 1))
         expected = "S4" if not rational_roots(resolvent) and not is_square else "other"
-        assert galois_signature(alpha).group == expected, alpha
+        sig = galois_signature(alpha)
+        assert sig.group == expected, alpha
+        assert sig.real_roots == count_real_roots(f3), alpha
 
 
 def test_galois_signature_factors_nothing_large(monkeypatch):

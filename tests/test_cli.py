@@ -202,6 +202,8 @@ def test_composite_primes_are_rejected():
         ("index", "--poly=1,0,1", "--prime", "15"),
         ("newton", "--poly=-3,-2,-6,0,1", "--phi=-1,1", "--prime", "6"),
         ("index", "--poly=1,0,1", "--prime", "1"),
+        ("reduce", "--alpha", "7", "--beta", "1", "--prime", "1"),
+        ("valuation", "--alpha", "7", "--beta", "1", "--prime", "1", "--n", "3"),
     ):
         code, out, err = invoke(*argv)
         p = argv[argv.index("--prime") + 1]
