@@ -47,7 +47,6 @@ from .newton import (
     IndexReport,
     NewtonPolygon,
     PolygonSide,
-    ResidualPolynomial,
     build_polygon,
     dedekind_p_maximal,
     ind_phi,
@@ -59,7 +58,6 @@ from .poly import (
     PolyInt,
     PolyModP,
     PolyRat,
-    ResidueFieldElem,
     count_real_roots,
     discriminant,
     factor_mod_p,

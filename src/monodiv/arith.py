@@ -66,7 +66,7 @@ def is_probable_prime(n: int) -> bool:
     """Strong probable-prime test to the fixed bases (exact below 3.3e14)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SPRP_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

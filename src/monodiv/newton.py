@@ -3,7 +3,8 @@
 Given a phi-adic development of a monic polynomial, the negative-slope lower
 convex hull of (j, v_p(a_j)) carries the local index data: the lattice points
 with x >= 1 and y >= 1 on or under the polygon bound v_p of the index, with
-equality when every side's residual polynomial is separable (p-regularity).
+equality when every side's residual polynomial, a PolyFq over
+F_p[x]/(phi-bar), is separable (p-regularity).
 Dedekind's criterion is an independent oracle for the "index is prime to p"
 conclusion, in its per-factor form on the factor list mod p (Cohen, GTM 138,
 Thm 6.1.4); `index_report` runs it on the factorization its polygons use and
@@ -23,10 +24,8 @@ from .poly import (
     PolyFq,
     PolyInt,
     PolyModP,
-    ResidueFieldElem,
     factor_mod_p,
     phi_development,
-    residue_elem,
     resultant,
 )
 
@@ -48,9 +47,6 @@ class PolygonSide:
     @property
     def slope(self) -> Fraction:
         return Fraction(self.y1 - self.y0, self.x1 - self.x0)
-
-    def height(self, x: int) -> Fraction:
-        return Fraction(self.y0) + self.slope * (x - self.x0)
 
 
 @dataclass(frozen=True)
@@ -121,48 +117,28 @@ def ind_phi(polygon: NewtonPolygon, deg_phi: int) -> int:
     for idx, side in enumerate(polygon.sides):
         start = side.x0 if idx == 0 else side.x0 + 1
         for x in range(max(start, 1), side.x1 + 1):
-            h = side.height(x)
-            if h >= 1:
-                total += math.floor(h)
+            # floor of the side's height at x; heights are >= y1 >= 0
+            total += (side.y0 * (side.x1 - x) + side.y1 * (x - side.x0)) // (side.x1 - side.x0)
     return deg_phi * total
 
 
-@dataclass(frozen=True)
-class ResidualPolynomial:
-    """Residual polynomial R_S of a side, over F_p[x]/(phi)."""
-
-    side: PolygonSide
-    coefficients: tuple[ResidueFieldElem, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_separable(self) -> bool:
-        return PolyFq(self.coefficients[0].modulus, self.coefficients).is_separable()
-
-
-def residual_polynomial(
-    dev: PhiDevelopment, p: int, side: PolygonSide
-) -> ResidualPolynomial:
-    """R_S(y) = sum res(x0 + i*step) y^i with res the (p, phi)-reduction of
-    a_j / p^(v_p(a_j)) when the point lies on the side, else 0."""
-    phi_bar = dev.phi.reduce_mod(p)
+def residual_polynomial(dev: PhiDevelopment, p: int, side: PolygonSide) -> PolyFq:
+    """R_S(y) = sum res(x0 + i*step) y^i over F_p[x]/(phi-bar), with res the
+    reduction mod p of a_j / p^(v_p(a_j)) when the point lies on the side,
+    else 0."""
     step_x = (side.x1 - side.x0) // side.degree
     step_y = (side.y1 - side.y0) // side.degree
     coeffs = []
     for i in range(side.degree + 1):
         j = side.x0 + i * step_x
-        expected = side.y0 + i * step_y
         a_j = dev.terms[j] if j < len(dev.terms) else PolyInt.zero()
         v = a_j.min_valuation(p)
-        if v == expected:
-            coeffs.append(residue_elem(phi_bar, a_j.exact_scalar_div(p**v)))
-        else:
-            coeffs.append(residue_elem(phi_bar, PolyInt.zero()))
-    if coeffs[0].is_zero or coeffs[-1].is_zero:
+        on_side = v == side.y0 + i * step_y
+        coeffs.append(a_j.exact_scalar_div(p**v).reduce_mod(p) if on_side else PolyModP(p))
+    residual = PolyFq(dev.phi.reduce_mod(p), coeffs)
+    if not coeffs[0] or residual.degree != side.degree:
         raise MathDomainError("side does not belong to the polygon of this development")
-    return ResidualPolynomial(side=side, coefficients=tuple(coeffs))
+    return residual
 
 
 @dataclass(frozen=True)
@@ -175,7 +151,7 @@ class PhiReport:
     a0_val: int | None  # None when the lift divides Phi exactly
     ind_phi: int
     regular: bool
-    residuals: tuple[ResidualPolynomial, ...]
+    residuals: tuple[PolyFq, ...]
 
 
 @dataclass(frozen=True)
@@ -200,6 +176,8 @@ def index_report(
     """
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
+    if Phi.degree < 1:
+        raise MathDomainError("Phi must be nonconstant")
     require_prime(p)
     if resultant(Phi, Phi.derivative()) == 0:
         raise MathDomainError("Phi must be squarefree over Q")

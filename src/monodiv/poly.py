@@ -3,8 +3,9 @@
 One dense core (``_DensePoly``) owns add, mul, divrem, derivative and the
 monic gcd; each coefficient ring is a thin subclass that supplies only its
 normalizing constructor and the inverse of a leading coefficient: PolyInt
-over Z, PolyRat over Q, PolyModP over F_p, ResidueFieldElem for the elements
-of F_p[x]/(phi), and PolyFq over F_p[x]/(phi) for residual polynomials.
+over Z, PolyRat over Q, PolyModP over F_p, and PolyFq over the residue field
+F_p[x]/(phi) for residual polynomials, whose coefficients are PolyModP of
+degree below deg(phi).
 Coefficients are stored ascending; the zero polynomial is the empty tuple.
 There is no floating point anywhere in this module.
 
@@ -38,9 +39,9 @@ class _DensePoly:
     A subclass supplies its coefficient ring: a normalizing constructor
     behind ``_wrap``, ``_scalar`` (an integer as a coefficient), ``_inverse``
     (of a divisor's leading coefficient) and ``_ring_key`` (the ring's
-    parameters, part of equality).  Over F_p, ``_quotient_mod`` is p:
-    division reduces each quotient coefficient, and the constructor reduces
-    everything else.
+    parameters, part of equality).  Over F_p, ``_quotient_mod`` is p, and
+    over F_p[x]/(phi) it is phi: division reduces each quotient coefficient,
+    and the constructor reduces everything else.
     """
 
     __slots__ = ("coeffs",)
@@ -68,6 +69,9 @@ class _DensePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def lc(self):
         if self.is_zero:
@@ -76,7 +80,7 @@ class _DensePoly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.coeffs) and self.coeffs[-1] == self._scalar(1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -446,76 +450,33 @@ def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
 
 
 # ---------------------------------------------------------------------------
-# residue field F_p[x]/(phi) and polynomials over it
-
-
-class ResidueFieldElem(_DensePoly):
-    """Element of F_p[x]/(phi) for monic irreducible phi: a polynomial over
-    F_p that the constructor reduces modulo phi.  Only the field operations
-    (+, -, *, ** and inverse) are meant for elements."""
-
-    __slots__ = ("modulus",)
-
-    def __init__(self, modulus: PolyModP, value: PolyModP):
-        if not modulus.is_monic:
-            raise MathDomainError("residue-field modulus must be monic")
-        self.modulus = modulus
-        if value.degree >= modulus.degree:
-            value = value % modulus
-        self.coeffs = value.coeffs
-
-    def _wrap(self, coeffs) -> "ResidueFieldElem":
-        return ResidueFieldElem(self.modulus, PolyModP(self.modulus.p, coeffs))
-
-    def _ring_key(self) -> tuple:
-        return (self.modulus,)
-
-    @property
-    def value(self) -> PolyModP:
-        return PolyModP(self.modulus.p, self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __repr__(self) -> str:
-        return f"ResidueFieldElem({self.value!r} mod {self.modulus!r})"
-
-    def inverse(self) -> "ResidueFieldElem":
-        if self.is_zero:
-            raise MathDomainError("inverse of zero in residue field")
-        # extended Euclid in F_p[x]
-        a, b = self.modulus, self.value
-        s0, s1 = PolyModP(a.p, ()), PolyModP(a.p, (1,))
-        while not b.is_zero:
-            q, r = a.divrem(b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
-        # a = gcd = unit; s0 satisfies s0*value = a (mod modulus)
-        return ResidueFieldElem(self.modulus, s0 * pow(a.lc, -1, a.p))
-
-
-def residue_elem(modulus: PolyModP, numerator: PolyInt) -> ResidueFieldElem:
-    """Reduce an integer polynomial modulo (p, phi)."""
-    return ResidueFieldElem(modulus, numerator.reduce_mod(modulus.p))
+# polynomials over the residue field F_q = F_p[x]/(phi)
 
 
 class PolyFq(_DensePoly):
-    """Polynomial over the residue field F_p[x]/(phi), ResidueFieldElem coefficients."""
+    """Polynomial over F_q = F_p[x]/(phi) for monic irreducible phi; each
+    coefficient is a PolyModP that the constructor reduces modulo phi."""
 
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: PolyModP, coeffs=()):
         self.modulus = modulus
-        self.coeffs = _normalize(coeffs)
+        d = modulus.degree
+        self.coeffs = _normalize(c if c.degree < d else c % modulus for c in coeffs)
 
     def _wrap(self, coeffs) -> "PolyFq":
         return PolyFq(self.modulus, coeffs)
 
-    def _scalar(self, k: int) -> ResidueFieldElem:
-        return ResidueFieldElem(self.modulus, PolyModP(self.modulus.p, (k,)))
+    def _scalar(self, k: int) -> PolyModP:
+        return PolyModP(self.modulus.p, (k,))
 
-    def _inverse(self, c: ResidueFieldElem) -> ResidueFieldElem:
-        return c.inverse()
+    @property
+    def _quotient_mod(self) -> PolyModP:
+        return self.modulus
+
+    def _inverse(self, c: PolyModP) -> PolyModP:
+        # Fermat: c^(q-2) = 1/c in F_q^*, q = p^deg(phi)
+        return c.pow_mod(self.modulus.p ** self.modulus.degree - 2, self.modulus)
 
     def _ring_key(self) -> tuple:
         return (self.modulus,)

@@ -193,6 +193,9 @@ def test_math_error_exit_codes():
     assert code == 1  # good reduction at 7
     code, _, err = invoke("fueter", "--alpha", "2", "--beta", "4", "--n", "3")
     assert code == 1  # not coprime
+    code, out, err = invoke("index", "--poly=1", "--prime", "3")
+    assert (code, out) == (1, "")
+    assert "Phi must be nonconstant" in err
 
 
 def test_composite_primes_are_rejected():

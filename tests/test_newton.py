@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,6 @@ from monodiv import (
     MathDomainError,
     PolyInt,
     PolyModP,
-    ResidueFieldElem,
     build_polygon,
     dedekind_p_maximal,
     discriminant,
@@ -87,6 +88,37 @@ def test_ind_phi_steeper_examples():
     assert ind_phi(_polygon_from_values([2, 2, 1, 0]), 1) == 1  # hull (0,2)->(3,0)
 
 
+def _ind_phi_fraction_reference(polygon, deg_phi):
+    """The former count: the side's height at x as a Fraction, floored
+    when it is at least 1."""
+    total = 0
+    for idx, side in enumerate(polygon.sides):
+        start = side.x0 if idx == 0 else side.x0 + 1
+        for x in range(max(start, 1), side.x1 + 1):
+            h = Fraction(side.y0) + side.slope * (x - side.x0)
+            if h >= 1:
+                total += math.floor(h)
+    return deg_phi * total
+
+
+def test_ind_phi_matches_the_fraction_count():
+    rng = random.Random(20261018)
+    checked = positive = 0
+    while checked < 12000:
+        vals = [rng.choice([None, 0, 1, 2, 3, 5, 9]) for _ in range(rng.randint(2, 12))]
+        if vals[0] is None:
+            vals[0] = rng.randint(1, 20)
+        if vals[-1] is None:
+            vals[-1] = 0
+        pg = _polygon_from_values(vals)
+        deg_phi = rng.randint(1, 3)
+        expected = _ind_phi_fraction_reference(pg, deg_phi)
+        assert ind_phi(pg, deg_phi) == expected, vals
+        checked += 1
+        positive += expected > 0
+    assert positive > 6000
+
+
 # --- residual polynomials ----------------------------------------------------
 
 
@@ -113,13 +145,13 @@ def test_residual_polynomial_degree_two_side():
     pg = build_polygon(dev, p)
     assert pg.sides == (PolygonSide(0, 2, 4, 0, 2),)
     rs = residual_polynomial(dev, p, pg.sides[0])
-    values = [c.value.coeffs for c in rs.coefficients]
+    values = [c.coeffs for c in rs.coeffs]
     assert values == [(1,), (2,), (1,)]  # y^2 + 2y + 1 = (y+1)^2
     assert not rs.is_separable()
     # changing the middle residual coefficient to 1 gives irreducible y^2+y+1
     dev2 = _build_dev(p, 25, 25, 5 * 1, 5)
     rs2 = residual_polynomial(dev2, p, build_polygon(dev2, p).sides[0])
-    assert [c.value.coeffs for c in rs2.coefficients] == [(1,), (1,), (1,)]
+    assert [c.coeffs for c in rs2.coeffs] == [(1,), (1,), (1,)]
     assert rs2.is_separable()
     assert ind_phi(pg, 1) == 2
 
@@ -130,7 +162,7 @@ def test_residual_linear_side_always_separable():
     rs = residual_polynomial(dev, 2, pg.sides[0])
     assert rs.degree == 1 == pg.sides[0].degree
     assert rs.is_separable()
-    assert not rs.coefficients[0].is_zero and not rs.coefficients[-1].is_zero
+    assert not rs.coeffs[0].is_zero and not rs.coeffs[-1].is_zero
 
 
 def test_residual_rejects_foreign_side():
@@ -229,7 +261,7 @@ def test_index_report_quadratic_residue_field():
     pr = rep.per_phi[0]
     assert (rep.ind_p_lower_bound, rep.exact) == (2, True)
     assert pr.polygon.sides == (PolygonSide(0, 2, 2, 0, 2),)
-    assert [c.value.coeffs for c in pr.residuals[0].coefficients] == [
+    assert [c.coeffs for c in pr.residuals[0].coeffs] == [
         (1,),
         (0, 1),
         (1,),
@@ -268,7 +300,7 @@ def test_polygon_points_above_sides():
                 continue
             for side in pg.sides:
                 if side.x0 <= j <= side.x1:
-                    assert Fraction(v) >= side.height(j)
+                    assert Fraction(v) >= side.y0 + side.slope * (j - side.x0)
 
 
 # --- Dedekind criterion ------------------------------------------------------
@@ -372,6 +404,36 @@ def test_certificate_dedekind_rows_match_gcd_form():
 # --- polynomials over F_p[x]/(phi) against the former free functions ---------
 
 
+class _RefElem:
+    """An element of F_p[x]/(phi) for the reference below: a PolyModP
+    reduced mod phi, whose inverse is found by search over the field."""
+
+    def __init__(self, phi, value):
+        self.phi, self.value = phi, value % phi
+
+    @property
+    def is_zero(self):
+        return self.value.is_zero
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __sub__(self, other):
+        return _RefElem(self.phi, self.value - other.value)
+
+    def __mul__(self, other):
+        other = other.value if isinstance(other, _RefElem) else other
+        return _RefElem(self.phi, self.value * other)
+
+    def inverse(self):
+        p, one = self.phi.p, PolyModP.one(self.phi.p)
+        for digits in itertools.product(range(p), repeat=self.phi.degree):
+            y = _RefElem(self.phi, PolyModP(p, digits))
+            if (self * y).value == one:
+                return y
+        raise ZeroDivisionError("zero has no inverse")
+
+
 def _ref_normalize(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero:
@@ -422,24 +484,44 @@ def test_residue_field_polynomials_match_reference():
 
             def elem(nonzero=False):
                 while True:
-                    value = PolyModP(p, [rng.randrange(p) for _ in range(d)])
-                    x = ResidueFieldElem(phi, value)
-                    if x or not nonzero:
+                    x = PolyModP(p, [rng.randrange(p) for _ in range(d)])
+                    if not x.is_zero or not nonzero:
                         return x
 
             def poly(deg):
                 return PolyFq(phi, [elem() for _ in range(deg)] + [elem(nonzero=True)])
 
+            def ref(f):
+                return [_RefElem(phi, c) for c in f.coeffs]
+
+            def values(coeffs):
+                return tuple(c.value for c in coeffs)
+
             for _ in range(25):
                 x, y = elem(), elem()
-                assert (x * y).value == x.value * y.value % phi
-                assert (x - y).value == (x.value - y.value) % phi
-                if x:
-                    assert (x * x.inverse()).value == PolyModP.one(p)
+                xy = (_RefElem(phi, x) * _RefElem(phi, y)).value
+                assert PolyFq(phi, [x]) * PolyFq(phi, [y]) == PolyFq(phi, [xy])
+                if not x.is_zero:
+                    assert PolyFq(phi)._inverse(x) == _RefElem(phi, x).inverse().value
                 f, g = poly(rng.randint(1, 3)), poly(rng.randint(0, 3))
                 if rng.random() < 0.5:
                     f = f * f * g  # a repeated factor
-                q, r = _ref_divrem(f.coeffs, g.coeffs)
-                assert f.divrem(g) == (PolyFq(phi, q), PolyFq(phi, r))
-                assert f.gcd(g).coeffs == _ref_gcd(f.coeffs, g.coeffs)
-                assert f.is_separable() == _ref_is_separable(f.coeffs)
+                q, r = _ref_divrem(ref(f), ref(g))
+                assert f.divrem(g) == (PolyFq(phi, values(q)), PolyFq(phi, values(r)))
+                assert f.gcd(g).coeffs == values(_ref_gcd(ref(f), ref(g)))
+                assert f.is_separable() == _ref_is_separable(ref(f))
+
+
+def test_fq_inverse_of_every_nonzero_element():
+    for p in (2, 3, 5, 7):
+        one = PolyModP.one(p)
+        for d in (1, 2, 3):
+            for tail in itertools.product(range(p), repeat=d):
+                phi = PolyModP(p, tail + (1,))
+                if not phi.is_irreducible():
+                    continue
+                for digits in itertools.product(range(p), repeat=d):
+                    c = PolyModP(p, digits)
+                    if not c.is_zero:
+                        unit = PolyFq(phi, [c]).monic()
+                        assert unit.coeffs == (one,) and unit.is_monic, (phi, c)
