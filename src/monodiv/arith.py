@@ -20,9 +20,12 @@ from itertools import count
 from .errors import BudgetExceededError, InfiniteValuationError, MathDomainError
 
 # First twelve primes as SPRP bases.  The first seven already make the test
-# deterministic up to ~3.4e14; the certified-trust threshold stays below that.
+# deterministic below psi_7 = 341550071728321 (Jaeschke, Math. Comp. 61,
+# 1993), so below the certified-trust threshold, which stays under psi_7,
+# only those seven run.
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DETERMINISTIC_BOUND = 330_000_000_000_000
+_DETERMINISTIC_BASES = _SPRP_BASES[:7]
 
 _TRIAL_BOUND = 2**16
 _small_primes: list[int] | None = None
@@ -74,7 +77,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SPRP_BASES:
+    for a in _DETERMINISTIC_BASES if n < DETERMINISTIC_BOUND else _SPRP_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -7,6 +7,8 @@ development base T - T0 placed at the singular Fueter coordinate.  Each row
 of a certificate is the `IndexReport` that `index_report` returned for its
 prime: the polygon index bound must be exactly zero and Dedekind's criterion
 (`IndexReport.dedekind`, run on the same factorization mod p) must hold.
+That factorization is the quartic's closed form mod p (`_closed_form`), which
+`index_report` checks as a witness instead of factoring.
 
 The family's closed forms stand in for re-checks and for the curve analysis:
 the quartic has discriminant -27 (alpha - 8)^2 (alpha + 8)^2, which is never
@@ -33,7 +35,7 @@ from .errors import BudgetExceededError, MathDomainError
 # module by name, though nothing here calls them; drop both imports together
 # with those patches.
 from .newton import IndexReport, dedekind_p_maximal, index_report  # noqa: F401
-from .poly import PolyInt, discriminant, resultant
+from .poly import PolyInt, PolyModP, discriminant, resultant
 from .reduction import reduction_table  # noqa: F401
 
 SCHEMA_VERSION = 1
@@ -146,32 +148,65 @@ def _certificate(
     trust: tuple[str, ...],
     reduction_ok: bool | None = None,
 ) -> MonogenicityCertificate:
-    """Per-prime rows and the verdict of a certificate whose hypothesis holds."""
-    ok = all(r.ind_p_lower_bound == 0 and r.exact and r.dedekind for r in reports)
+    """Per-prime rows and the verdict of a certificate whose hypothesis holds;
+    a `not_certified` reason names the first failing prime and its cause."""
+    reason = next((why for why in map(_row_failure, reports) if why), None)
     return MonogenicityCertificate(
         alpha=alpha,
-        verdict="monogenic" if ok else "not_certified",
+        verdict="not_certified" if reason else "monogenic",
         hypothesis_ok=True,
-        field_disc=field_disc if ok else None,
+        field_disc=None if reason else field_disc,
         primes=tuple(reports),
         trust=trust,
         reduction_ok=reduction_ok,
-        reason=None if ok else "a prime produced a nonzero or inexact index bound",
+        reason=reason,
     )
 
 
-def _guided_lift(alpha: int, p: int) -> PolyInt:
-    """Development base T - T0 of the curve analysis, for a prime of the
-    certificate.  For p >= 5, T0 is `singular_T` of `tate_curve(alpha, 1)`:
-    the singular Fueter point reduces to -1 mod p when p | alpha - 8 and is
-    1 when p | alpha + 8 (the cases are exclusive for odd p)."""
+def _row_failure(r: IndexReport) -> str | None:
+    """Why the row of one prime does not prove Z[theta] maximal there."""
+    if r.ind_p_lower_bound > 0:
+        relation = "=" if r.exact else ">="
+        return f"p = {r.p}: ind_p {relation} {r.ind_p_lower_bound}, so p divides the index"
+    if not r.exact:
+        return f"p = {r.p}: ind_p >= 0 is inexact (a residual polynomial is inseparable)"
+    if not r.dedekind:
+        return f"p = {r.p}: Dedekind's criterion fails although ind_p = 0 is exact"
+    return None
+
+
+# Phi = T^4 - 6T^2 - alpha*T - 3 mod p, at every prime `certify` visits:
+# - p | alpha - 8 (p >= 5): Phi = (T^4 - 6T^2 - 8T - 3) - (alpha - 8)T, and
+#   T^4 - 6T^2 - 8T - 3 = (T + 1)^3 (T - 3), so Phi-bar = (T + 1)^3 (T - 3);
+# - p | alpha + 8 (p >= 5): the same with T -> -T, Phi-bar = (T - 1)^3 (T + 3);
+#   the cases are exclusive, as p | (alpha + 8) - (alpha - 8) = 16 forces
+#   p = 2, and T + 1 != T - 3 (T - 1 != T + 3) since p does not divide 4;
+# - p = 3: Phi-bar = T^4 - alpha*T = T (T^3 - alpha^3) = T (T - alpha)^3,
+#   as alpha^3 = alpha mod 3 and cubing is additive in characteristic 3;
+#   that is T^4 when 3 | alpha;
+# - p = 2 (alpha even): Phi-bar = T^4 + 1 = (T + 1)^4.
+# Dedekind at p | alpha - 8 in closed form: Phi - (T + 1)^3 (T - 3) =
+# -(alpha - 8) T, so F = -((alpha - 8)/p) T, and (T + 1) divides F-bar iff
+# F-bar = 0, i.e. iff p^2 | alpha - 8 (the criterion does not depend on the
+# lifts of the factors).  At p | alpha + 8, (T - 1) | F-bar iff p^2 | alpha + 8.
+# So with alpha -+ 8 squarefree the paper's hypothesis is Dedekind's criterion
+# at p >= 5; `index_report` still computes that answer itself.
+def _closed_form(alpha: int, p: int) -> tuple[PolyInt, list[tuple[PolyModP, int]]]:
+    """Development base T - T0 of the curve analysis and the factorization of
+    the quartic mod p, for a prime of the certificate.  For p >= 5, T0 is
+    `singular_T` of `tate_curve(alpha, 1)`: the singular Fueter point reduces
+    to -1 mod p when p | alpha - 8 and is 1 when p | alpha + 8.  T0 is the
+    root of the repeated factor mod p in every case."""
     if p == 2:
-        t0 = 1
+        t0, roots = 1, [(1, 4)]
     elif p == 3:
         t0 = (0, 4, -4)[alpha % 3]
+        roots = [(0, 4)] if t0 == 0 else [(0, 1), (t0, 3)]
+    elif (alpha - 8) % p == 0:
+        t0, roots = p - 1, [(p - 1, 3), (3, 1)]
     else:
-        t0 = p - 1 if (alpha - 8) % p == 0 else 1
-    return PolyInt((-t0, 1))
+        t0, roots = 1, [(1, 3), (-3, 1)]
+    return PolyInt((-t0, 1)), [(PolyModP(p, (-r, 1)), e) for r, e in roots]
 
 
 def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:
@@ -203,9 +238,10 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
     f3 = three_torsion_quartic(alpha)
     # 2 divides alpha -+ 8 exactly when alpha is even
     bad = set(fact_minus.primes() + fact_plus.primes())
-    reports = [
-        index_report(f3, p, lifts=[_guided_lift(alpha, p)]) for p in sorted({3} | bad)
-    ]
+    reports = []
+    for p in sorted({3} | bad):
+        lift, factors = _closed_form(alpha, p)
+        reports.append(index_report(f3, p, lifts=[lift], factors=factors))
     # reduction_ok: squarefree alpha -+ 8 gives v = 1 at every bad prime of
     # tate_curve(alpha, 1), so classify_odd finds I_1 (case "minus") or I*_1
     # (case "plus", v odd: tate1-3a), and an even alpha has v_2(alpha + 8) = 1,

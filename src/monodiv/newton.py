@@ -9,6 +9,10 @@ Dedekind's criterion is an independent oracle for the "index is prime to p"
 conclusion, in its per-factor form on the factor list mod p (Cohen, GTM 138,
 Thm 6.1.4); `index_report` runs it on the factorization its polygons use and
 records its answer in `IndexReport.dedekind`.
+That factorization is either computed (`factor_mod_p`) or supplied by the
+caller as a witness, which `index_report` checks instead of computing: each
+factor monic, irreducible and distinct, and their product with
+multiplicities equal to Phi mod p.
 """
 
 from __future__ import annotations
@@ -166,13 +170,19 @@ class IndexReport:
 
 
 def index_report(
-    Phi: PolyInt, p: int, lifts: list[PolyInt] | None = None
+    Phi: PolyInt,
+    p: int,
+    lifts: list[PolyInt] | None = None,
+    factors: list[tuple[PolyModP, int]] | None = None,
 ) -> IndexReport:
     """Run the first-order polygon analysis of Phi at p.
 
     Only repeated factors mod p (exponent >= 2) get polygons; simple factors
     provably contribute 0 and are regular.  Supplied lifts override the
-    default least-non-negative lifts after validation.
+    default least-non-negative lifts after validation.  A supplied
+    ``factors`` witness, the factorization of Phi mod p as (factor,
+    multiplicity) pairs, is checked and used in place of `factor_mod_p`;
+    a wrong witness raises MathDomainError.
     """
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
@@ -181,7 +191,11 @@ def index_report(
     require_prime(p)
     if resultant(Phi, Phi.derivative()) == 0:
         raise MathDomainError("Phi must be squarefree over Q")
-    factors = factor_mod_p(Phi.reduce_mod(p))
+    Phi_bar = Phi.reduce_mod(p)
+    if factors is None:
+        factors = factor_mod_p(Phi_bar)
+    else:
+        factors = _checked_factorization(Phi_bar, factors)
     lift_map = {}
     for L in lifts or ():
         if not L.is_monic:
@@ -221,6 +235,32 @@ def index_report(
         exact=all(r.regular for r in reports),
         dedekind=_dedekind(Phi, p, factors),
     )
+
+
+def _checked_factorization(
+    f: PolyModP, factors: list[tuple[PolyModP, int]]
+) -> list[tuple[PolyModP, int]]:
+    """Accept a claimed factorization of monic f over F_p, in the canonical
+    order of `factor_mod_p` (degree, then coefficients), or raise
+    MathDomainError naming the check it fails.  Checking costs one product
+    and, per factor of degree >= 2, a Rabin test; no factoring."""
+    p = f.p
+    prod = PolyModP.one(p)
+    for fac, e in factors:
+        if not isinstance(fac, PolyModP) or fac.p != p:
+            raise MathDomainError(f"witness factor {fac!r} is not a polynomial mod p = {p}")
+        if not fac.is_monic:
+            raise MathDomainError(f"witness factor {fac!r} is not monic")
+        if fac.degree != 1 and not fac.is_irreducible():
+            raise MathDomainError(f"witness factor {fac!r} is not irreducible")
+        if e < 1:
+            raise MathDomainError(f"witness factor {fac!r} has multiplicity {e} < 1")
+        prod = prod * fac**e
+    if len({fac for fac, _ in factors}) != len(factors):
+        raise MathDomainError("witness factors are not pairwise distinct")
+    if prod != f:
+        raise MathDomainError(f"witness product {prod!r} is not Phi mod p = {f!r}")
+    return sorted(factors, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
 def dedekind_p_maximal(Phi: PolyInt, p: int) -> bool:

@@ -103,6 +103,44 @@ def test_probable_prime_agrees_with_sieve():
         assert is_probable_prime(n) == (n in primes)
 
 
+# Jaeschke's least strong pseudoprimes to the first k prime bases, k = 1..7
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321)
+
+
+def _is_sprp(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def _twelve_base_verdict(n):
+    """The former test: trial division by and SPRP to all twelve bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    return all(_is_sprp(n, a) for a in bases)
+
+
+def test_seven_bases_decide_below_the_bound():
+    psi6, psi7 = _PSI[5], _PSI[6]
+    assert all(_is_sprp(psi6, a) for a in (2, 3, 5, 7, 11, 13)) and not _is_sprp(psi6, 17)
+    assert psi6 < DETERMINISTIC_BOUND and not is_probable_prime(psi6)
+    # psi_7 passes the seven bases; it lies above the bound, where all twelve run
+    assert all(_is_sprp(psi7, a) for a in (2, 3, 5, 7, 11, 13, 17))
+    assert psi7 > DETERMINISTIC_BOUND and not is_probable_prime(psi7)
+    rng = random.Random(20261020)
+    corpus = list(_PSI) + [rng.randrange(3, DETERMINISTIC_BOUND, 2) for _ in range(3000)]
+    for _ in range(300):  # semiprimes (k + 1)(2k + 1), a common pseudoprime shape
+        k = rng.randrange(2, 10**7)
+        corpus.append((k + 1) * (2 * k + 1))
+    corpus += [q for q in (rng.randrange(2**40, 2**48) for _ in range(3000)) if sympy.isprime(q)]
+    verdicts = [is_probable_prime(n) for n in corpus]
+    assert verdicts == [_twelve_base_verdict(n) for n in corpus]
+    assert verdicts.count(True) > 100
+
+
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(-17) == [1, 17]

@@ -29,7 +29,16 @@ from monodiv import (
     three_torsion_quartic,
     unit_norm_check,
 )
-from monodiv.certify import field_discriminant, is_irreducible_quartic, montes_certificate
+from monodiv.arith import vp
+from monodiv.certify import (
+    _certificate,
+    _closed_form,
+    field_discriminant,
+    is_irreducible_quartic,
+    montes_certificate,
+)
+from monodiv.newton import IndexReport, index_report
+from monodiv.poly import factor_mod_p
 
 certify_module = importlib.import_module("monodiv.certify")
 
@@ -185,6 +194,49 @@ def test_certify_closed_forms_match_the_curve_analysis():
     assert curves > 5000
 
 
+def _visited_primes(alpha):
+    """The primes certify visits for alpha: 3 and the primes of alpha -+ 8."""
+    return sorted({3} | set(factor(alpha - 8).primes() + factor(alpha + 8).primes()))
+
+
+def test_closed_form_matches_factor_mod_p():
+    # also for alpha -+ 8 not squarefree: the closed form does not need it
+    rng = random.Random("closed_form_mod_p")
+    large = [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(40)]
+    cases = set()
+    for alpha in [a for a in range(-600, 601) if a not in (8, -8)] + large:
+        f3 = three_torsion_quartic(alpha)
+        for p in _visited_primes(alpha):
+            lift, factors = _closed_form(alpha, p)
+            expected = factor_mod_p(f3.reduce_mod(p))
+            assert sorted(factors, key=lambda t: (t[0].degree, t[0].coeffs)) == expected
+            # the lift reduces to the repeated factor
+            assert [fac for fac, e in factors if e >= 2] == [lift.reduce_mod(p)]
+            if p == 3:
+                cases.add("3 | alpha" if alpha % 3 == 0 else "3 !| alpha")
+            elif p > 3:
+                cases.add("alpha - 8" if (alpha - 8) % p == 0 else "alpha + 8")
+            else:
+                cases.add("2")
+    assert cases == {"2", "3 | alpha", "3 !| alpha", "alpha - 8", "alpha + 8"}
+
+
+def test_dedekind_at_p_dividing_alpha_minus_8_is_the_hypothesis():
+    # Phi - (T + 1)^3 (T - 3) = -(alpha - 8) T; see the comment at _closed_form
+    outcomes = []
+    for alpha in range(-2000, 2001):
+        if alpha in (8, -8):
+            continue
+        for p in factor(alpha - 8).primes():
+            if p < 5:
+                continue
+            lift, factors = _closed_form(alpha, p)
+            rep = index_report(three_torsion_quartic(alpha), p, lifts=[lift], factors=factors)
+            assert rep.dedekind == (vp(alpha - 8, p) < 2), (alpha, p)
+            outcomes.append(rep.dedekind)
+    assert outcomes.count(False) > 50 and outcomes.count(True) > 1000
+
+
 def test_certify_proves_each_prime_once(monkeypatch):
     # the primes come from arith.factor; index_report proves each one once,
     # and nothing else in certify asks again
@@ -282,8 +334,30 @@ def test_generic_alpha_16_exact_positive_index():
     assert cert.verdict == "not_certified"
     row = next(r for r in cert.primes if r.p == 2)
     assert row.ind_p_lower_bound == 3 and row.exact and not row.dedekind
+    assert cert.reason == "p = 2: ind_p = 3, so p divides the index"
     # guided path refuses at the hypothesis stage; no contradiction
     assert certify(16).verdict == "hypothesis_failed"
+
+
+def test_not_certified_reason_names_the_first_failing_prime():
+    def row(p, ind, exact, dedekind):
+        return IndexReport(p, (), ind, exact, dedekind)
+
+    ok = row(2, 0, True, True)
+    cases = [
+        ([ok, row(3, 2, True, False), row(5, 0, False, True)],
+         "p = 3: ind_p = 2, so p divides the index"),
+        ([ok, row(3, 1, False, False)], "p = 3: ind_p >= 1, so p divides the index"),
+        ([row(5, 0, False, True), row(7, 1, True, False)],
+         "p = 5: ind_p >= 0 is inexact (a residual polynomial is inseparable)"),
+        ([ok, row(7, 0, True, False)],
+         "p = 7: Dedekind's criterion fails although ind_p = 0 is exact"),
+    ]
+    for reports, reason in cases:
+        cert = _certificate(0, reports, -27, ())
+        assert (cert.verdict, cert.field_disc, cert.reason) == ("not_certified", None, reason)
+    cert = _certificate(0, [ok], -27, ())
+    assert (cert.verdict, cert.field_disc, cert.reason) == ("monogenic", -27, None)
 
 
 def test_generic_alpha_0():
@@ -458,12 +532,13 @@ def test_multi_lift_row_json_shape():
 
 
 def test_certify_generic_json_digest():
-    # 207 not_certified certificates, 82 with an inexact row, which scan never reaches
+    # 207 not_certified certificates, 82 with an inexact row, which scan never
+    # reaches; each reason names the first failing prime
     texts = "\n".join(
         certify_generic(a).to_json() for a in range(-200, 201) if a not in (8, -8)
     )
     assert hashlib.sha256(texts.encode()).hexdigest() == (
-        "06bebbe9c9d98c3cb9b49a2a36c88b5ca59df0b05355000d29903a84693706c1"
+        "3a27df315afe1ff345502fd720c4a01500e14279100dc994c4cf1d3da50b36c3"
     )
 
 

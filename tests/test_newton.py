@@ -283,6 +283,50 @@ def test_index_report_two_repeated_factors():
     assert not dedekind_p_maximal(f, 3)
 
 
+# --- factorization witnesses --------------------------------------------------
+
+
+def _mod(p, *pairs):
+    return [(PolyModP(p, coeffs), e) for coeffs, e in pairs]
+
+
+# F3(13) = T (T - 1)^3 mod 3 (T - 1 = T + 2); each witness is wrong in one way
+@pytest.mark.parametrize(
+    "witness, reason",
+    [
+        (_mod(3, ((0, 1), 1), ((2, 1), 2)), "witness product"),
+        # T^2 - T = T (T - 1) is reducible; the product still matches
+        (_mod(3, ((0, 2, 1), 1), ((2, 1), 2)), "is not irreducible"),
+        (_mod(3, ((0, 1), 1), ((2, 1), 1), ((2, 1), 2)), "not pairwise distinct"),
+        (_mod(5, ((0, 1), 1)) + _mod(3, ((2, 1), 3)), "is not a polynomial mod p = 3"),
+        # (2T) (2T - 2)^3 = 16 T (T - 1)^3, the right product with non-monic factors
+        (_mod(3, ((0, 2), 1), ((1, 2), 3)), "is not monic"),
+        (_mod(3, ((0, 1), 1), ((2, 1), 3), ((1, 1), 0)), "multiplicity 0 < 1"),
+        ([(PolyInt.x(), 1), (PolyInt((-1, 1)), 3)], "is not a polynomial mod p = 3"),
+    ],
+)
+def test_index_report_rejects_wrong_witness(witness, reason):
+    good = _mod(3, ((2, 1), 3), ((0, 1), 1))
+    assert index_report(F3(13), 3, factors=good) == index_report(F3(13), 3)
+    with pytest.raises(MathDomainError, match=reason):
+        index_report(F3(13), 3, lifts=[T_MINUS(4)], factors=witness)
+
+
+def test_witness_path_matches_factor_mod_p_path():
+    rng = random.Random(20261019)
+    compared = nonlinear = 0
+    for Phi, p in _dedekind_corpus(rng, 800):
+        if discriminant(Phi) == 0:
+            continue
+        factors = factor_mod_p(Phi.reduce_mod(p))
+        witness = factors[:]
+        rng.shuffle(witness)
+        assert index_report(Phi, p, factors=witness) == index_report(Phi, p), (Phi, p)
+        compared += 1
+        nonlinear += any(fac.degree > 1 and e > 1 for fac, e in factors)
+    assert compared > 500 and nonlinear > 20
+
+
 def test_polygon_points_above_sides():
     rng = random.Random(115)
     for _ in range(200):
