@@ -23,7 +23,6 @@ from .elliptic import (
     DivisionPoly,
     TateNormalCurve,
     WeierstrassCurve,
-    double_x,
     fueter,
     fueter_disc,
     fueter_value,
@@ -33,7 +32,6 @@ from .elliptic import (
     tate_curve,
     T_to_x,
     verdure_disc,
-    x_to_T,
 )
 from .errors import (
     BudgetExceededError,
@@ -58,11 +56,9 @@ from .poly import (
     PolyInt,
     PolyModP,
     PolyRat,
-    count_real_roots,
     discriminant,
     factor_mod_p,
     phi_development,
-    rational_roots,
     resultant,
 )
 from .reduction import (

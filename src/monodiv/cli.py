@@ -31,7 +31,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     if not _:
         raise argparse.ArgumentTypeError("range must look like LO:HI")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range {text} is empty: LO must be at most HI")
+    return lo, hi
 
 
 def _bounded_n(text: str) -> int:
@@ -39,6 +42,13 @@ def _bounded_n(text: str) -> int:
     if n > MAX_N:
         raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}")
     return n
+
+
+def _budget_ms(text: str) -> int:
+    ms = int(text)
+    if ms < 0:
+        raise argparse.ArgumentTypeError("budget must be at least 0 ms")
+    return ms
 
 
 def _curve_from_args(args) -> elliptic.WeierstrassCurve:
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, budget=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:
-            p.add_argument("--budget-ms", type=int, default=None)
+            p.add_argument("--budget-ms", type=_budget_ms, default=None)
 
     p = sub.add_parser("divpoly", help="division polynomial of a curve")
     p.add_argument("--alpha", type=int)
@@ -357,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "scan" and args.min > args.max:
+        parser.error(f"argument --max: {args.max} is below --min {args.min}")
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -121,15 +121,6 @@ def tate_curve(alpha: int, beta: int) -> TateNormalCurve:
     return TateNormalCurve(alpha, beta)
 
 
-def x_to_T(x: Fraction | int, curve: TateNormalCurve) -> Fraction:
-    """Fueter coordinate of a Weierstrass x: T = a*beta / (x + a*beta)."""
-    ab = curve.a * curve.beta
-    x = Fraction(x)
-    if x == -ab:
-        raise MathDomainError("x = -a*beta has no Fueter coordinate (pole)")
-    return Fraction(ab) / (x + ab)
-
-
 def T_to_x(T: Fraction | int, curve: TateNormalCurve) -> Fraction:
     """Weierstrass x of a Fueter coordinate: x = a*beta/T - a*beta (T != 0)."""
     T = Fraction(T)
@@ -255,18 +246,6 @@ def psi_fueter_identity_check(
     sign = -1 if ((n - 1) // 2) % 2 else 1
     rhs = sign * (Fraction(curve.a * curve.beta) / T) ** d * fueter_value(curve, n, T)
     return lhs == rhs
-
-
-def double_x(curve: WeierstrassCurve | TateNormalCurve, x: Fraction | int) -> Fraction:
-    """x-coordinate duplication map; errors on 2-torsion input."""
-    if isinstance(curve, TateNormalCurve):
-        curve = curve.weierstrass
-    x = Fraction(x)
-    den = curve.two_torsion_poly(x)
-    if den == 0:
-        raise MathDomainError("x is a 2-torsion abscissa (duplication pole)")
-    num = x**4 - curve.b4 * x**2 - 2 * curve.b6 * x - curve.b8
-    return num / den
 
 
 def verdure_disc(n: int, delta: Fraction | int) -> Fraction:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, factor, vp
+from .arith import factor, vp
 from .errors import MathDomainError
 
 _FACTOR_SEED = 0x5EED_1D1  # fixed: reproducible factorizations and certificates
@@ -475,8 +475,11 @@ class PolyFq(_DensePoly):
         return self.modulus
 
     def _inverse(self, c: PolyModP) -> PolyModP:
+        p, d = self.modulus.p, self.modulus.degree
+        if d == 1:  # F_q = F_p: one modular inverse, not a (log p)-step power
+            return PolyModP(p, (pow(c.coeffs[0], -1, p),))
         # Fermat: c^(q-2) = 1/c in F_q^*, q = p^deg(phi)
-        return c.pow_mod(self.modulus.p ** self.modulus.degree - 2, self.modulus)
+        return c.pow_mod(p**d - 2, self.modulus)
 
     def _ring_key(self) -> tuple:
         return (self.modulus,)
@@ -608,55 +611,3 @@ def discriminant(f) -> Fraction:
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     res = _resultant_int(F.coeffs, F.derivative().coeffs)
     return Fraction(sign * res, F.lc * den ** (2 * d - 2))
-
-
-# ---------------------------------------------------------------------------
-# real-root counting (Sturm) and rational roots
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-def count_real_roots(f) -> int:
-    """Number of distinct real roots of a squarefree rational polynomial."""
-    f = f.to_rat() if isinstance(f, PolyInt) else f
-    if f.is_zero:
-        raise MathDomainError("zero polynomial")
-    if f.degree < 1:
-        return 0
-    if f.gcd(f.derivative()).degree != 0:
-        raise MathDomainError("Sturm count requires a squarefree polynomial")
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
-
-    def variations(signs: list[int]) -> int:
-        signs = [x for x in signs if x]
-        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-    at_plus = [_sign(g.lc) for g in chain]
-    at_minus = [_sign(g.lc) * (-1 if g.degree % 2 else 1) for g in chain]
-    return variations(at_minus) - variations(at_plus)
-
-
-def rational_roots(f: PolyInt) -> list[Fraction]:
-    """All rational roots, ascending, via divisor search on the ends."""
-    if f.is_zero:
-        raise MathDomainError("zero polynomial")
-    roots = set()
-    coeffs = list(f.coeffs)
-    while coeffs and coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs.pop(0)
-    g = PolyInt(coeffs)
-    if g.degree >= 1:
-        a0, lead = abs(g.coeffs[0]), abs(g.lc)
-        for r in divisors(a0):
-            for ss in divisors(lead):
-                for cand in (Fraction(r, ss), Fraction(-r, ss)):
-                    if g(cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)

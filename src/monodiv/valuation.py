@@ -102,7 +102,7 @@ def singular_x(case: SingularCase, curve: TateNormalCurve) -> int:
 def singular_fueter_T(case: SingularCase, curve: TateNormalCurve) -> Fraction:
     """Exact rational Fueter coordinate above the singular point."""
     if case.tag == "minus":
-        # x_to_T at x = -2^5 beta^2, simplified
+        # T = a*beta / (x + a*beta) at x = -2^5 beta^2, simplified
         return Fraction(curve.a, curve.a - 32 * curve.beta)
     return Fraction(1)
 

@@ -15,8 +15,10 @@ from monodiv import (
     legendre,
     vp,
 )
+from monodiv import arith
 from monodiv.arith import (
     DETERMINISTIC_BOUND,
+    _BLOCK_SIZE,
     _brent_rho,
     _perfect_power,
     divisors,
@@ -169,8 +171,11 @@ def _reference_primes() -> list[int]:
     return [i for i in range(_REFERENCE_BOUND) if sieve[i]]
 
 
-def _reference_factor(x: int, primes: list[int]) -> tuple[tuple, tuple]:
-    """The former ``factor``: trial division below one million, frozen here."""
+def _reference_factor(
+    x: int, primes: list[int], bound: int = _REFERENCE_BOUND
+) -> tuple[tuple, tuple]:
+    """The former ``factor``, frozen here: trial division by each prime below
+    ``bound`` in turn (one million, or 2^16 as ``factor`` had it), then rho."""
     n = abs(x)
     found: dict[int, int] = {}
     for p in primes:
@@ -179,7 +184,7 @@ def _reference_factor(x: int, primes: list[int]) -> tuple[tuple, tuple]:
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    if 1 < n < _REFERENCE_BOUND * _REFERENCE_BOUND:
+    if 1 < n < bound * bound:
         found[n] = found.get(n, 0) + 1
         n = 1
     stack = [n] if n > 1 else []
@@ -228,6 +233,38 @@ def _factor_corpus() -> list[int]:
         6 * (2**61 - 1),
     ]
     out += [rng.randrange(2, 2**70) for _ in range(40)]
+    # the blocked trial division: primes on either side of three block
+    # boundaries, squared and multiplied together
+    primes = small_primes()
+    for start in (_BLOCK_SIZE, 50 * _BLOCK_SIZE, (len(primes) - 1) // _BLOCK_SIZE * _BLOCK_SIZE):
+        last, first = primes[start - 1], primes[start]
+        out += [last**2, first**2, last * first, 2 * last * first, last * first * above16]
+    # prime factors from five to eight different blocks, some repeated
+    blocks = range(0, len(primes), _BLOCK_SIZE)
+    for _ in range(30):
+        starts = rng.sample(blocks, rng.randint(5, 8))
+        n = rng.choice((-1, 1))
+        for start in starts:
+            n *= rng.choice(primes[start : start + _BLOCK_SIZE]) ** rng.choice((1, 1, 2))
+        out += [n, n * rng.randrange(2**20, 2**40)]
+    # a cofactor that falls below p^2 in the middle of a block: q early in a
+    # block times a prime r just above the next prime after q
+    for start in (_BLOCK_SIZE, 40 * _BLOCK_SIZE, 90 * _BLOCK_SIZE):
+        q, nxt = primes[start + 5], primes[start + 6]
+        r = next(m for m in range(nxt + 2, nxt * nxt) if is_probable_prime(m))
+        out += [q * r, q * q * r, 2 * q * r]
+    out += [2**k for k in (1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 100)]
+    out += [1, -1, below16**2, -(below16**2)]
+    return out
+
+
+def _large_alpha_corpus() -> list[int]:
+    rng = random.Random("factor-large-alphas")
+    out = []
+    for _ in range(500):
+        bits = rng.choice((59, 60, 61))
+        alpha = rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1) + 8, 2**bits - 8)
+        out += [alpha - 8, alpha + 8]
     return out
 
 
@@ -240,6 +277,47 @@ def test_factor_matches_trial_division_to_one_million_and_sympy():
         oracle = sympy.factorint(abs(n))
         assert got.factors == tuple(sorted(oracle.items())), n
         assert got.probable == tuple(p for p in sorted(oracle) if p >= DETERMINISTIC_BOUND)
+
+
+def test_blocked_trial_division_matches_the_per_prime_loop_on_large_alphas():
+    # 1000 values alpha -+ 8 with 59 to 61 bits, against the per-prime loop
+    # that the blocks replaced (same primes below 2^16, same cofactor rule)
+    primes = small_primes()
+    corpus = _large_alpha_corpus()
+    assert {abs(n).bit_length() for n in corpus} == {59, 60, 61}
+    for n in corpus:
+        got = factor(n)
+        assert (got.sign, got.factors, got.probable) == (
+            (-1 if n < 0 else 1, *_reference_factor(n, primes, 2**16))
+        ), n
+
+
+class _TriedPrimes(list):
+    """The sieved primes, recording each prime that trial division reads."""
+
+    def __init__(self, primes):
+        super().__init__(primes)
+        self.tried = []
+
+    def __getitem__(self, index):
+        p = super().__getitem__(index)
+        self.tried.append(p)
+        return p
+
+
+def test_trial_division_stops_where_the_cofactor_falls_below_p_squared(monkeypatch):
+    primes = small_primes()
+    tried = _TriedPrimes(primes)
+    monkeypatch.setattr(arith, "_small_primes", tried)
+    for start in (0, _BLOCK_SIZE, 40 * _BLOCK_SIZE):
+        q, nxt = primes[start + 5], primes[start + 6]
+        r = next(m for m in range(nxt + 2, nxt * nxt) if is_probable_prime(m))
+        tried.tried.clear()
+        assert factor(q * r).factors == ((q, 1), (r, 1))
+        # only the blocks that share a factor with q*r are read, and within
+        # q's block nothing past nxt, whose square exceeds the cofactor r
+        assert tried.tried[-1] == nxt
+        assert q in tried.tried
 
 
 def _random_prime(rng: random.Random, bits: int) -> int:

@@ -15,12 +15,10 @@ from monodiv import (
     certify_generic,
     classify_odd,
     classify_two,
-    count_real_roots,
     dedekind_p_maximal,
     discriminant,
     factor,
     galois_signature,
-    rational_roots,
     scan,
     singular_case,
     singular_T,
@@ -39,6 +37,7 @@ from monodiv.certify import (
 )
 from monodiv.newton import IndexReport, index_report
 from monodiv.poly import factor_mod_p
+from references import count_real_roots, rational_roots
 
 certify_module = importlib.import_module("monodiv.certify")
 

@@ -113,6 +113,18 @@ def test_index_json():
     assert data["ind_p_lower_bound"] == 0 and data["exact"] is True
 
 
+def test_index_json_golden_with_a_residual_over_f9():
+    # phi = T^2 + 1 is irreducible mod 3, so the residual lives over F_9
+    code, out, _ = invoke("index", "--poly=10,3,2,3,1", "--prime", "3", "--json")
+    assert code == 0
+    assert out == (
+        '{"p":3,"ind_p_lower_bound":2,"exact":true,"per_phi":[{"phi":"1,0,1",'
+        '"exponent":2,"a0_val":2,"ind_phi":2,"regular":true,"polygon":'
+        '{"points":[[0,2],[1,1],[2,0]],"sides":[{"x0":0,"y0":2,"x1":2,"y1":0,'
+        '"slope":"-1","degree":2}]}}]}\n'
+    )
+
+
 def test_scan_text_summary():
     code, out, _ = invoke("scan", "--min", "2", "--max", "7")
     assert code == 0
@@ -223,6 +235,32 @@ def test_n_above_cap_is_usage_error():
         with pytest.raises(SystemExit) as exc:
             invoke(*argv, "--n", "200")
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("certify", "--alpha", "2", "--budget-ms", "-5"), "argument --budget-ms"),
+        (("scan", "--min", "2", "--max", "4", "--budget-ms", "-1"), "argument --budget-ms"),
+        (("scan", "--min", "5", "--max", "1"), "argument --max"),
+        (("survey", "--family", "B", "--s=3:1", "--t", "0:1"), "argument --s"),
+        (("survey", "--family", "B", "--s", "0:1", "--t=2:-2"), "argument --t"),
+    ],
+)
+def test_out_of_domain_arguments_are_usage_errors(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_zero_budget_and_one_alpha_scan_are_in_domain():
+    code, out, _ = invoke("certify", "--alpha", "2", "--budget-ms", "0", "--json")
+    assert (code, out) == (0, CERTIFY2_GOLDEN + "\n")
+    code, out, _ = invoke("scan", "--min", "5", "--max", "5")
+    assert (code, out) == (0, "5: monogenic\nmonogenic: 5\n")
 
 
 def test_malformed_poly_is_usage_error():

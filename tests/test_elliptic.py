@@ -11,7 +11,6 @@ from monodiv import (
     T_to_x,
     WeierstrassCurve,
     discriminant,
-    double_x,
     fueter,
     fueter_disc,
     fueter_value,
@@ -20,9 +19,9 @@ from monodiv import (
     psi_value,
     tate_curve,
     verdure_disc,
-    x_to_T,
 )
 from conftest import random_curve, random_rational_curve, random_tate_params
+from references import double_x, x_to_T
 
 
 # --- curve models ------------------------------------------------------------

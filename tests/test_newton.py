@@ -569,3 +569,36 @@ def test_fq_inverse_of_every_nonzero_element():
                     if not c.is_zero:
                         unit = PolyFq(phi, [c]).monic()
                         assert unit.coeffs == (one,) and unit.is_monic, (phi, c)
+
+
+def _linear_fq_cases():
+    """Seeded quadratics over F_q = F_p[x]/(x + r) at two large p: for each p,
+    a random quadratic and b (a T + c)^2, whose repeated root is -c/a."""
+    rng = random.Random("fq-linear-modulus")
+    for p in (2**31 - 1, 2**61 - 1):
+        phi = PolyModP(p, (rng.randrange(p), 1))
+        for _ in range(8):
+            a, b, c = (PolyModP(p, (rng.randrange(1, p),)) for _ in range(3))
+            yield PolyFq(phi, (c, b, a)), None
+            root = PolyModP(p, (-c.coeffs[0] * pow(a.coeffs[0], p - 2, p),))
+            yield PolyFq(phi, (b,)) * PolyFq(phi, (c, a)) ** 2, root
+
+
+def test_fq_inverse_over_a_linear_modulus_at_large_p():
+    # deg phi = 1 inverts with pow(c, -1, p); the expected values are those
+    # of the Fermat power c^(p-2) it replaces
+    rng = random.Random("fq-linear-inverse")
+    for p in (2**31 - 1, 2**61 - 1):
+        phi = PolyModP(p, (rng.randrange(p), 1))
+        for _ in range(20):
+            c = PolyModP(p, (rng.randrange(1, p),))
+            inv = PolyFq(phi)._inverse(c)
+            assert c * inv % phi == PolyModP.one(p)
+            assert inv.coeffs == (pow(c.coeffs[0], p - 2, p),)
+    verdicts = []
+    for f, root in _linear_fq_cases():
+        verdicts.append(f.is_separable())
+        if root is not None:
+            one = PolyModP.one(root.p)
+            assert f.gcd(f.derivative()) == PolyFq(f.modulus, (-root, one))
+    assert verdicts == [True, False] * 16  # as the Fermat inverse gave them

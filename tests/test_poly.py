@@ -12,18 +12,17 @@ from monodiv import (
     PolyInt,
     PolyModP,
     PolyRat,
-    count_real_roots,
     discriminant,
     factor_mod_p,
     fueter,
     phi_development,
     psi,
-    rational_roots,
     resultant,
     tate_curve,
 )
 from monodiv import poly as poly_module
 from conftest import to_sympy
+from references import count_real_roots, rational_roots
 
 F3_ALPHA2 = PolyInt((-3, -2, -6, 0, 1))  # T^4 - 6T^2 - 2T - 3
 
