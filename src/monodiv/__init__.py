@@ -12,7 +12,6 @@ from .certify import (
     GaloisSignature,
     MonogenicityCertificate,
     certify,
-    certify_generic,
     galois_signature,
     scan,
     survey_family,
@@ -75,7 +74,6 @@ from .valuation import (
     observed_psi_valuation,
     predicted_fueter_valuation,
     predicted_valuation,
-    singular_T,
     singular_case,
 )
 

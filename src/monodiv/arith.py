@@ -154,6 +154,8 @@ def _brent_rho(n: int, deadline: float | None) -> int:
     """Deterministic Brent cycle-finding split of an odd composite n."""
     # The deadline is checked once per batch of at most 128 steps, so a run
     # overshoots its budget by one batch at most, however long it grows.
+    # x - y is not made positive: that changes q only by a sign mod n, and
+    # gcd(+-q, n) is the same.
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
@@ -169,7 +171,7 @@ def _brent_rho(n: int, deadline: float | None) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -177,7 +179,7 @@ def _brent_rho(n: int, deadline: float | None) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # cycle collapsed; retry with the next polynomial x^2 + c
@@ -194,12 +196,6 @@ class Factorization:
     sign: int
     factors: tuple[tuple[int, int], ...]
     probable: tuple[int, ...] = field(default=())
-
-    def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

@@ -194,9 +194,10 @@ def _row_failure(r: IndexReport) -> str | None:
 def _closed_form(alpha: int, p: int) -> tuple[PolyInt, list[tuple[PolyModP, int]]]:
     """Development base T - T0 of the curve analysis and the factorization of
     the quartic mod p, for a prime of the certificate.  For p >= 5, T0 is
-    `singular_T` of `tate_curve(alpha, 1)`: the singular Fueter point reduces
-    to -1 mod p when p | alpha - 8 and is 1 when p | alpha + 8.  T0 is the
-    root of the repeated factor mod p in every case."""
+    the singular Fueter point of `tate_curve(alpha, 1)` reduced mod p
+    (`valuation.singular_fueter_T`): -1 when p | alpha - 8, and 1 when
+    p | alpha + 8.  T0 is the root of the repeated factor mod p in every
+    case."""
     if p == 2:
         t0, roots = 1, [(1, 4)]
     elif p == 3:
@@ -281,13 +282,6 @@ def montes_certificate(
     return _certificate(label, reports, int(disc), trust)
 
 
-def certify_generic(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:
-    """Montes on T^4 - 6T^2 - alpha*T - 3 without elliptic-curve guidance."""
-    return montes_certificate(
-        three_torsion_quartic(alpha), alpha=alpha, budget_ms=budget_ms
-    )
-
-
 @dataclass(frozen=True)
 class GaloisSignature:
     group: str  # "S4" | "other"
@@ -340,7 +334,9 @@ class FamilyEntry:
     predicted_disc: int
     disc_ok: bool
     squared_factor: int
-    verdict: str | None  # Montes verdict when the squared factor is squarefree
+    # Montes verdict when the squared factor is squarefree, "not_certified"
+    # when the budget runs out before that is known, else None
+    verdict: str | None
 
 
 _FAMILIES = {
@@ -383,9 +379,13 @@ def survey_family(
             actual = discriminant(poly)
             disc_ok = actual == predicted
             verdict = None
-            if sq != 0 and _squarefree_or_none(sq, _budget_left(budget_ms, start)):
-                left = _budget_left(budget_ms, start)
-                verdict = montes_certificate(poly, budget_ms=left).verdict
+            if sq != 0:
+                try:
+                    if factor(sq, budget_ms=_budget_left(budget_ms, start)).is_squarefree():
+                        left = _budget_left(budget_ms, start)
+                        verdict = montes_certificate(poly, budget_ms=left).verdict
+                except BudgetExceededError:
+                    verdict = "not_certified"
             out.append(
                 FamilyEntry(
                     family=family,
@@ -399,10 +399,3 @@ def survey_family(
                 )
             )
     return out
-
-
-def _squarefree_or_none(n: int, budget_ms: int | None) -> bool:
-    try:
-        return factor(n, budget_ms=budget_ms).is_squarefree()
-    except BudgetExceededError:
-        return False

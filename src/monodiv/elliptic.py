@@ -69,16 +69,6 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
-    @cached_property
-    def j(self) -> Fraction:
-        c4 = self.b2**2 - 24 * self.b4
-        return c4**3 / self.delta
-
-    @cached_property
-    def two_torsion_poly(self) -> PolyRat:
-        """4x^3 + b2 x^2 + 2 b4 x + b6 (the square of psi_2 on the curve)."""
-        return PolyRat((self.b6, 2 * self.b4, self.b2, 4))
-
 
 @dataclass(frozen=True)
 class TateNormalCurve:
@@ -104,16 +94,6 @@ class TateNormalCurve:
         return WeierstrassCurve(
             Fraction(a), Fraction(b * a), Fraction(b * a * a), Fraction(0), Fraction(0)
         )
-
-    @property
-    def delta(self) -> int:
-        a, b = self.a, self.beta
-        return b**4 * (self.alpha - 8 * b) * a**7
-
-    @property
-    def j(self) -> Fraction:
-        a, b = self.a, self.beta
-        return Fraction((self.alpha**2 - 48 * b * b) ** 3, self.delta)
 
 
 def tate_curve(alpha: int, beta: int) -> TateNormalCurve:
@@ -141,13 +121,6 @@ class DivisionPoly:
     n: int
     even_part: bool
     poly: PolyRat
-
-    @property
-    def f_part(self) -> PolyRat:
-        """Monic part of an even division polynomial (poly divided by n/2)."""
-        if not self.even_part:
-            raise MathDomainError("f_part is defined for even n only")
-        return self.poly * Fraction(2, self.n)
 
 
 def _division_part(n: int, base3, base4, square, fueter_signs: bool):

@@ -29,6 +29,7 @@ from .poly import (
     PolyInt,
     PolyModP,
     factor_mod_p,
+    factor_order,
     phi_development,
     resultant,
 )
@@ -191,11 +192,11 @@ def index_report(
     require_prime(p)
     if resultant(Phi, Phi.derivative()) == 0:
         raise MathDomainError("Phi must be squarefree over Q")
-    Phi_bar = Phi.reduce_mod(p)
     if factors is None:
-        factors = factor_mod_p(Phi_bar)
+        factors = factor_mod_p(Phi.reduce_mod(p))
     else:
-        factors = _checked_factorization(Phi_bar, factors)
+        factors = _checked_factorization(p, factors)
+    dedekind = _dedekind(Phi, p, factors)  # also checks a witness's product
     lift_map = {}
     for L in lifts or ():
         if not L.is_monic:
@@ -233,19 +234,17 @@ def index_report(
         per_phi=tuple(reports),
         ind_p_lower_bound=sum(r.ind_phi for r in reports),
         exact=all(r.regular for r in reports),
-        dedekind=_dedekind(Phi, p, factors),
+        dedekind=dedekind,
     )
 
 
 def _checked_factorization(
-    f: PolyModP, factors: list[tuple[PolyModP, int]]
+    p: int, factors: list[tuple[PolyModP, int]]
 ) -> list[tuple[PolyModP, int]]:
-    """Accept a claimed factorization of monic f over F_p, in the canonical
-    order of `factor_mod_p` (degree, then coefficients), or raise
-    MathDomainError naming the check it fails.  Checking costs one product
-    and, per factor of degree >= 2, a Rabin test; no factoring."""
-    p = f.p
-    prod = PolyModP.one(p)
+    """Accept the factors of a claimed factorization over F_p, in the
+    canonical order of `factor_mod_p`, or raise MathDomainError naming the
+    check it fails.  Checking costs, per factor of degree >= 2, a Rabin
+    test; no factoring.  `_dedekind` checks that their product is Phi mod p."""
     for fac, e in factors:
         if not isinstance(fac, PolyModP) or fac.p != p:
             raise MathDomainError(f"witness factor {fac!r} is not a polynomial mod p = {p}")
@@ -255,12 +254,9 @@ def _checked_factorization(
             raise MathDomainError(f"witness factor {fac!r} is not irreducible")
         if e < 1:
             raise MathDomainError(f"witness factor {fac!r} has multiplicity {e} < 1")
-        prod = prod * fac**e
     if len({fac for fac, _ in factors}) != len(factors):
         raise MathDomainError("witness factors are not pairwise distinct")
-    if prod != f:
-        raise MathDomainError(f"witness product {prod!r} is not Phi mod p = {f!r}")
-    return sorted(factors, key=lambda t: (t[0].degree, t[0].coeffs))
+    return sorted(factors, key=factor_order)
 
 
 def dedekind_p_maximal(Phi: PolyInt, p: int) -> bool:
@@ -273,9 +269,18 @@ def dedekind_p_maximal(Phi: PolyInt, p: int) -> bool:
 
 def _dedekind(Phi: PolyInt, p: int, factors: list[tuple[PolyModP, int]]) -> bool:
     """With Phi-bar = prod phi_i^e_i and F = (Phi - prod lift(phi_i)^e_i)/p,
-    Z[theta] is maximal at p iff no phi_i with e_i >= 2 divides F-bar."""
+    Z[theta] is maximal at p iff no phi_i with e_i >= 2 divides F-bar.
+
+    p divides Phi - prod exactly when the factors multiply to Phi mod p, so
+    the one product over Z also checks a claimed factorization: when p does
+    not divide it, MathDomainError."""
     prod = PolyInt.one()
     for fac, e in factors:
         prod = prod * fac.lift() ** e
-    F_bar = (Phi - prod).exact_scalar_div(p).reduce_mod(p)
+    diff = Phi - prod
+    if any(c % p for c in diff.coeffs):
+        raise MathDomainError(
+            f"witness product {prod.reduce_mod(p)!r} is not Phi mod p = {Phi.reduce_mod(p)!r}"
+        )
+    F_bar = PolyModP(p, (c // p for c in diff.coeffs))
     return not any(e >= 2 and (F_bar % fac).is_zero for fac, e in factors)

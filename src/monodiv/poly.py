@@ -1,11 +1,12 @@
 """Dense exact univariate polynomial arithmetic.
 
-One dense core (``_DensePoly``) owns add, mul, divrem, derivative and the
-monic gcd; each coefficient ring is a thin subclass that supplies only its
-normalizing constructor and the inverse of a leading coefficient: PolyInt
-over Z, PolyRat over Q, PolyModP over F_p, and PolyFq over the residue field
-F_p[x]/(phi) for residual polynomials, whose coefficients are PolyModP of
-degree below deg(phi).
+One dense core (``_DensePoly``) owns add, mul, powering (also modulo a
+polynomial), evaluation, divrem, derivative and the monic gcd; each
+coefficient ring is a thin subclass that supplies only its normalizing
+constructor and the inverse of a leading coefficient: PolyInt over Z, PolyRat
+over Q, PolyModP over F_p, and PolyFq over the residue field F_p[x]/(phi) for
+residual polynomials, whose coefficients are PolyModP of degree below
+deg(phi).
 Coefficients are stored ascending; the zero polynomial is the empty tuple.
 There is no floating point anywhere in this module.
 
@@ -41,7 +42,7 @@ class _DensePoly:
     (of a divisor's leading coefficient) and ``_ring_key`` (the ring's
     parameters, part of equality).  Over F_p, ``_quotient_mod`` is p, and
     over F_p[x]/(phi) it is phi: division reduces each quotient coefficient,
-    and the constructor reduces everything else.
+    evaluation each partial value, and the constructor everything else.
     """
 
     __slots__ = ("coeffs",)
@@ -121,23 +122,30 @@ class _DensePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        """self**e by binary powering; squares only while exponent bits remain."""
+    def __pow__(self, e: int, modulus=None):
+        """self**e, or self**e % modulus for pow(self, e, modulus), by binary
+        powering; squares only while exponent bits remain."""
         if e < 0:
             raise MathDomainError("negative polynomial exponent")
-        f, out = self, None
+
+        def mul(a, b):
+            return a * b if modulus is None else a * b % modulus
+
+        f, out = self if modulus is None else self % modulus, None
         while e:
             if e & 1:
-                out = f if out is None else out * f
+                out = f if out is None else mul(out, f)
             e >>= 1
             if e:
-                f = f * f
+                f = mul(f, f)
         return self._wrap((self._scalar(1),)) if out is None else out
 
     def __call__(self, x):
-        out = self._scalar(0)
+        out, m = self._scalar(0), self._quotient_mod
         for c in reversed(self.coeffs):
             out = out * x + c
+            if m:
+                out %= m
         return out
 
     def divrem(self, other):
@@ -199,10 +207,6 @@ class PolyInt(_DensePoly):
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "PolyInt":
-        return cls((0, 1))
-
-    @classmethod
     def from_text(cls, text: str) -> "PolyInt":
         return cls(int(part.strip()) for part in text.split(","))
 
@@ -222,9 +226,6 @@ class PolyInt(_DensePoly):
     def reduce_mod(self, p: int) -> "PolyModP":
         return PolyModP(p, self.coeffs)
 
-    def to_rat(self) -> "PolyRat":
-        return PolyRat(Fraction(c) for c in self.coeffs)
-
     def min_valuation(self, p: int) -> int | None:
         """min_j v_p(coeff_j), or None (infinity) for the zero polynomial."""
         if self.is_zero:
@@ -241,16 +242,8 @@ class PolyRat(_DensePoly):
         self.coeffs = _normalize(Fraction(c) for c in coeffs)
 
     @classmethod
-    def zero(cls) -> "PolyRat":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "PolyRat":
         return cls((1,))
-
-    @classmethod
-    def from_text(cls, text: str) -> "PolyRat":
-        return cls(Fraction(part.strip()) for part in text.split(","))
 
     def __repr__(self) -> str:
         return f"PolyRat({[str(c) for c in self.coeffs]})"
@@ -295,28 +288,8 @@ class PolyModP(_DensePoly):
     def x(cls, p: int) -> "PolyModP":
         return cls(p, (0, 1))
 
-    @classmethod
-    def one(cls, p: int) -> "PolyModP":
-        return cls(p, (1,))
-
     def __repr__(self) -> str:
         return f"PolyModP({self.p}, {list(self.coeffs)})"
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = (out * x + c) % self.p
-        return out
-
-    def pow_mod(self, e: int, modulus: "PolyModP") -> "PolyModP":
-        out = self._wrap((1,))
-        base = self % modulus
-        while e:
-            if e & 1:
-                out = out * base % modulus
-            base = base * base % modulus
-            e >>= 1
-        return out
 
     def pth_root(self) -> "PolyModP":
         """Inverse Frobenius: g with g**p == self (self must be a p-th power)."""
@@ -339,11 +312,11 @@ class PolyModP(_DensePoly):
         f = self.monic()
         p = self.p
         xp = PolyModP.x(p)
-        h = xp.pow_mod(p**d, f)
+        h = pow(xp, p**d, f)
         if h != xp % f:
             return False
         for q in factor(d).primes():
-            h = xp.pow_mod(p ** (d // q), f)
+            h = pow(xp, p ** (d // q), f)
             if f.gcd(h - xp).degree != 0:
                 return False
         return True
@@ -394,7 +367,7 @@ def _distinct_degree(f: PolyModP) -> list[tuple[int, PolyModP]]:
         if 2 * d > f.degree:
             out.append((f.degree, f))
             break
-        h = h.pow_mod(p, f)
+        h = pow(h, p, f)
         g = f.gcd(h - PolyModP.x(p))
         if g.degree > 0:
             out.append((d, g))
@@ -416,16 +389,20 @@ def _equal_degree(f: PolyModP, d: int, rng: random.Random) -> list[PolyModP]:
             t = a
             cur = a
             for _ in range(d - 1):
-                cur = cur.pow_mod(2, f)
+                cur = pow(cur, 2, f)
                 t = t + cur
             g = f.gcd(t)
         else:
-            g = f.gcd(a.pow_mod((p**d - 1) // 2, f) - PolyModP(p, (1,)))
+            g = f.gcd(pow(a, (p**d - 1) // 2, f) - PolyModP(p, (1,)))
         if 0 < g.degree < f.degree:
-            return sorted(
-                _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng),
-                key=lambda h: (h.degree, h.coeffs),
-            )
+            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+
+
+def factor_order(pair: tuple[PolyModP, int]) -> tuple:
+    """Sort key of the canonical order of a factorization mod p: the
+    factor's degree, then its coefficients."""
+    fac, _ = pair
+    return fac.degree, fac.coeffs
 
 
 def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
@@ -445,7 +422,7 @@ def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
         for d, prod in _distinct_degree(part):
             for irr in _equal_degree(prod, d, rng):
                 out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    out.sort(key=factor_order)
     return out
 
 
@@ -479,7 +456,7 @@ class PolyFq(_DensePoly):
         if d == 1:  # F_q = F_p: one modular inverse, not a (log p)-step power
             return PolyModP(p, (pow(c.coeffs[0], -1, p),))
         # Fermat: c^(q-2) = 1/c in F_q^*, q = p^deg(phi)
-        return c.pow_mod(p**d - 2, self.modulus)
+        return pow(c, p**d - 2, self.modulus)
 
     def _ring_key(self) -> tuple:
         return (self.modulus,)
@@ -505,14 +482,6 @@ class PhiDevelopment:
 
     phi: PolyInt
     terms: tuple[PolyInt, ...]
-
-    def reconstruct(self) -> PolyInt:
-        out = PolyInt.zero()
-        power = PolyInt.one()
-        for a in self.terms:
-            out = out + a * power
-            power = power * self.phi
-        return out
 
 
 def phi_development(Phi: PolyInt, phi: PolyInt) -> PhiDevelopment:

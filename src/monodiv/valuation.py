@@ -121,12 +121,3 @@ def observed_fueter_valuation(
     _odd_only(n)
     value = fueter_value(curve, n, singular_fueter_T(case, curve))
     return vp_fraction(value, case.p)
-
-
-def singular_T(case: SingularCase, curve: TateNormalCurve, p: int) -> int:
-    """Repeated-root location of F_n mod p, as an element of [0, p): the
-    reduction of `singular_fueter_T`.  Its denominator divides a - 32 beta,
-    which is -16 beta mod p when p | alpha - 8 beta: a unit for odd p prime
-    to beta."""
-    T = singular_fueter_T(case, curve)
-    return T.numerator * pow(T.denominator, -1, p) % p

@@ -2,13 +2,25 @@
 
 The package never called these; the tests keep them as frozen references:
 the Sturm count and the rational-root search check ``galois_signature``'s
-closed forms, and ``x_to_T``/``double_x`` check the coordinate change and the
-reduction lemma behind the singular Fueter point."""
+closed forms, ``x_to_T``/``double_x`` check the coordinate change and the
+reduction lemma behind the singular Fueter point, ``singular_T`` checks the
+lifts of ``certify._closed_form``, ``reconstruct`` is the oracle of
+``phi_development`` and ``two_torsion_poly`` that of the division
+recurrence."""
 
 from fractions import Fraction
 
-from monodiv import MathDomainError, PolyInt, TateNormalCurve, WeierstrassCurve
+from monodiv import (
+    MathDomainError,
+    PhiDevelopment,
+    PolyInt,
+    PolyRat,
+    SingularCase,
+    TateNormalCurve,
+    WeierstrassCurve,
+)
 from monodiv.arith import divisors
+from monodiv.valuation import singular_fueter_T
 
 
 def _sign(q: Fraction) -> int:
@@ -17,7 +29,7 @@ def _sign(q: Fraction) -> int:
 
 def count_real_roots(f) -> int:
     """Number of distinct real roots of a squarefree rational polynomial."""
-    f = f.to_rat() if isinstance(f, PolyInt) else f
+    f = PolyRat(f.coeffs) if isinstance(f, PolyInt) else f
     if f.is_zero:
         raise MathDomainError("zero polynomial")
     if f.degree < 1:
@@ -73,8 +85,32 @@ def double_x(curve: WeierstrassCurve | TateNormalCurve, x: Fraction | int) -> Fr
     if isinstance(curve, TateNormalCurve):
         curve = curve.weierstrass
     x = Fraction(x)
-    den = curve.two_torsion_poly(x)
+    den = two_torsion_poly(curve)(x)
     if den == 0:
         raise MathDomainError("x is a 2-torsion abscissa (duplication pole)")
     num = x**4 - curve.b4 * x**2 - 2 * curve.b6 * x - curve.b8
     return num / den
+
+
+def two_torsion_poly(curve: WeierstrassCurve) -> PolyRat:
+    """4x^3 + b2 x^2 + 2 b4 x + b6 (the square of psi_2 on the curve)."""
+    return PolyRat((curve.b6, 2 * curve.b4, curve.b2, 4))
+
+
+def singular_T(case: SingularCase, curve: TateNormalCurve, p: int) -> int:
+    """Repeated-root location of F_n mod p, as an element of [0, p): the
+    reduction of `singular_fueter_T`.  Its denominator divides a - 32 beta,
+    which is -16 beta mod p when p | alpha - 8 beta: a unit for odd p prime
+    to beta."""
+    T = singular_fueter_T(case, curve)
+    return T.numerator * pow(T.denominator, -1, p) % p
+
+
+def reconstruct(dev: PhiDevelopment) -> PolyInt:
+    """sum_j a_j phi^j: the polynomial a phi-development expands."""
+    out = PolyInt.zero()
+    power = PolyInt.one()
+    for a in dev.terms:
+        out = out + a * power
+        power = power * dev.phi
+    return out

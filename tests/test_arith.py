@@ -89,7 +89,8 @@ def test_legendre_euler_criterion_sweep():
 
 @given(st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0))
 def test_factor_reconstructs(n):
-    assert factor(n).value() == n
+    f = factor(n)
+    assert f.sign * math.prod(p**e for p, e in f.factors) == n
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -272,7 +273,7 @@ def test_factor_matches_trial_division_to_one_million_and_sympy():
     primes = _reference_primes()
     for n in _factor_corpus():
         got = factor(n)
-        assert got.value() == n
+        assert got.sign * math.prod(p**e for p, e in got.factors) == n
         assert (got.factors, got.probable) == _reference_factor(n, primes), n
         oracle = sympy.factorint(abs(n))
         assert got.factors == tuple(sorted(oracle.items())), n
@@ -339,3 +340,46 @@ def test_rho_honours_the_deadline_between_batches():
         factor(n, budget_ms=0)
     assert factor(360, budget_ms=0).factors == ((2, 3), (3, 2), (5, 1))
     assert factor(6 * (2**61 - 1), budget_ms=0).probable == (2**61 - 1,)
+
+
+def _reference_brent_rho(n: int) -> int:
+    """The Brent rho split as it was with |x - y| in the product, frozen."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def test_rho_splits_as_with_absolute_differences():
+    # the sign of x - y changes q by a sign mod n, and no gcd sees it, so each
+    # split is the one the |x - y| version found
+    rng = random.Random("rho-signs")
+    corpus = []
+    while len(corpus) < 100:
+        bits = rng.randint(17, 25)
+        n = _random_prime(rng, bits) * _random_prime(rng, rng.randint(17, 50 - bits))
+        if rng.random() < 0.25:
+            n *= _random_prime(rng, 8)
+        if 34 <= n.bit_length() <= 50 and n % 2 and not is_probable_prime(n):
+            corpus.append(n)
+    for n in corpus:
+        assert _brent_rho(n, None) == _reference_brent_rho(n), n

@@ -12,7 +12,6 @@ from monodiv import (
     MathDomainError,
     PolyInt,
     certify,
-    certify_generic,
     classify_odd,
     classify_two,
     dedekind_p_maximal,
@@ -21,7 +20,6 @@ from monodiv import (
     galois_signature,
     scan,
     singular_case,
-    singular_T,
     survey_family,
     tate_curve,
     three_torsion_quartic,
@@ -37,7 +35,7 @@ from monodiv.certify import (
 )
 from monodiv.newton import IndexReport, index_report
 from monodiv.poly import factor_mod_p
-from references import count_real_roots, rational_roots
+from references import count_real_roots, rational_roots, singular_T
 
 certify_module = importlib.import_module("monodiv.certify")
 
@@ -303,11 +301,12 @@ def test_certify_soundness_dedekind_everywhere():
             assert dedekind_p_maximal(f3, p), (alpha, p)
 
 
-# --- certify_generic cross-checks ----------------------------------------------
+# --- curve-blind Montes cross-checks -------------------------------------------
 
 
 def test_generic_agrees_on_alpha_2():
-    assert certify_generic(2).verdict == certify(2).verdict == "monogenic"
+    generic = montes_certificate(three_torsion_quartic(2), alpha=2)
+    assert generic.verdict == certify(2).verdict == "monogenic"
 
 
 def test_generic_and_guided_never_contradict():
@@ -315,7 +314,7 @@ def test_generic_and_guided_never_contradict():
         if alpha in (8, -8):
             continue
         guided = certify(alpha)
-        generic = certify_generic(alpha)
+        generic = montes_certificate(three_torsion_quartic(alpha), alpha=alpha)
         verdicts = {guided.verdict, generic.verdict}
         # contradiction = one path certifies monogenic while the other
         # exactly proves a positive index
@@ -329,7 +328,7 @@ def test_generic_and_guided_never_contradict():
 
 
 def test_generic_alpha_16_exact_positive_index():
-    cert = certify_generic(16)
+    cert = montes_certificate(three_torsion_quartic(16), alpha=16)
     assert cert.verdict == "not_certified"
     row = next(r for r in cert.primes if r.p == 2)
     assert row.ind_p_lower_bound == 3 and row.exact and not row.dedekind
@@ -360,7 +359,7 @@ def test_not_certified_reason_names_the_first_failing_prime():
 
 
 def test_generic_alpha_0():
-    cert = certify_generic(0)
+    cert = montes_certificate(three_torsion_quartic(0), alpha=0)
     assert cert.verdict in ("monogenic", "not_certified")
     # F3 = T^4 - 6T^2 - 3 has disc -27*64*64 = -110592: index at 2 is positive
     assert cert.verdict == "not_certified"
@@ -469,6 +468,20 @@ def test_survey_all_disc_formulas_on_grid():
             assert entry.disc_ok, (family, entry.s, entry.t)
 
 
+def test_survey_reports_an_exhausted_budget_as_not_certified(monkeypatch):
+    # squared factors t^2 - 64 for t = 2..8: -60, -55, -48, -39, -28, -15, 0
+    verdicts = [e.verdict for e in survey_family("A", (1, 1), (2, 8))]
+    assert verdicts == [None, "monogenic", None, "monogenic", None, "monogenic", None]
+
+    def exhausted(n, budget_ms=None):
+        raise BudgetExceededError(f"factorization budget exhausted on {n}")
+
+    monkeypatch.setattr(certify_module, "factor", exhausted)
+    # the budget runs out before squarefreeness is known: not_certified, not skipped
+    verdicts = [e.verdict for e in survey_family("A", (1, 1), (2, 8), budget_ms=0)]
+    assert verdicts == ["not_certified"] * 6 + [None]
+
+
 def test_survey_spends_one_budget_on_the_whole_request(monkeypatch):
     budgets = []
 
@@ -534,7 +547,9 @@ def test_certify_generic_json_digest():
     # 207 not_certified certificates, 82 with an inexact row, which scan never
     # reaches; each reason names the first failing prime
     texts = "\n".join(
-        certify_generic(a).to_json() for a in range(-200, 201) if a not in (8, -8)
+        montes_certificate(three_torsion_quartic(a), alpha=a).to_json()
+        for a in range(-200, 201)
+        if a not in (8, -8)
     )
     assert hashlib.sha256(texts.encode()).hexdigest() == (
         "3a27df315afe1ff345502fd720c4a01500e14279100dc994c4cf1d3da50b36c3"

@@ -49,7 +49,7 @@ def test_polygon_collinear_points_merge():
 
 
 def test_polygon_exact_root_signal():
-    dev = phi_development(PolyInt((0, 4, 1)), PolyInt.x())  # x | x^2 + 4x
+    dev = phi_development(PolyInt((0, 4, 1)), PolyInt((0, 1)))  # x | x^2 + 4x
     with pytest.raises(ExactRootError):
         build_polygon(dev, 2)
 
@@ -179,7 +179,7 @@ def test_index_report_guided_examples():
     assert rep.ind_p_lower_bound == 0 and rep.exact
     assert rep.per_phi[0].a0_val == 1
 
-    rep = index_report(F3(3), 3, lifts=[PolyInt.x()])
+    rep = index_report(F3(3), 3, lifts=[PolyInt((0, 1))])
     assert rep.ind_p_lower_bound == 0 and rep.exact
     assert rep.per_phi[0].a0_val == 1  # F3(0) = -3
 
@@ -191,7 +191,7 @@ def test_index_report_guided_examples():
 
 def test_index_report_rejects_bad_lift():
     with pytest.raises(MathDomainError):
-        index_report(F3(2), 2, lifts=[PolyInt.x()])  # x is not a factor mod 2
+        index_report(F3(2), 2, lifts=[PolyInt((0, 1))])  # x is not a factor mod 2
 
 
 def test_index_report_requires_squarefree():
@@ -209,7 +209,7 @@ def test_index_report_simple_factors_skipped():
 def test_index_report_exact_root_lift():
     # x divides x^2 + 4x exactly; polygon is built from the remaining points
     f = PolyInt((0, 4, 1))
-    rep = index_report(f, 2, lifts=[PolyInt.x()])
+    rep = index_report(f, 2, lifts=[PolyInt((0, 1))])
     assert rep.ind_p_lower_bound == 2 and rep.exact
     assert rep.per_phi[0].a0_val is None
     assert not dedekind_p_maximal(f, 2)
@@ -217,7 +217,7 @@ def test_index_report_exact_root_lift():
     assert discriminant(f) == 16
 
     g = PolyInt((0, 8, 6, 1))  # x(x+2)(x+4), disc 256, index 2^4
-    rep = index_report(g, 2, lifts=[PolyInt.x()])
+    rep = index_report(g, 2, lifts=[PolyInt((0, 1))])
     assert rep.ind_p_lower_bound == 4 and rep.exact
 
 
@@ -225,7 +225,7 @@ def test_index_report_lift_choice():
     # x^2 + 4x at p = 2: lift x is exact with the true index, lift x + 2
     # yields an inseparable residual and only an inexact lower bound
     f = PolyInt((0, 4, 1))
-    exact = index_report(f, 2, lifts=[PolyInt.x()])
+    exact = index_report(f, 2, lifts=[PolyInt((0, 1))])
     assert (exact.ind_p_lower_bound, exact.exact) == (2, True)
     inexact = index_report(f, 2, lifts=[PolyInt((2, 1))])
     assert (inexact.ind_p_lower_bound, inexact.exact) == (1, False)
@@ -239,7 +239,7 @@ def test_index_report_lift_invariance_when_exact():
     # the same holds for a positive index: x and x + 4 both divide x^2 + 4x
     # exactly and give the identical exact bound 2
     f = PolyInt((0, 4, 1))
-    for lift in (PolyInt.x(), PolyInt((4, 1))):
+    for lift in (PolyInt((0, 1)), PolyInt((4, 1))):
         rep = index_report(f, 2, lifts=[lift])
         assert (rep.ind_p_lower_bound, rep.exact) == (2, True)
 
@@ -302,7 +302,7 @@ def _mod(p, *pairs):
         # (2T) (2T - 2)^3 = 16 T (T - 1)^3, the right product with non-monic factors
         (_mod(3, ((0, 2), 1), ((1, 2), 3)), "is not monic"),
         (_mod(3, ((0, 1), 1), ((2, 1), 3), ((1, 1), 0)), "multiplicity 0 < 1"),
-        ([(PolyInt.x(), 1), (PolyInt((-1, 1)), 3)], "is not a polynomial mod p = 3"),
+        ([(PolyInt((0, 1)), 1), (PolyInt((-1, 1)), 3)], "is not a polynomial mod p = 3"),
     ],
 )
 def test_index_report_rejects_wrong_witness(witness, reason):
@@ -389,7 +389,7 @@ def _dedekind_gcd_reference(Phi, p, factors):
     """The former form: with g = prod phi_i and h a lift of Phi-bar / g-bar,
     test gcd((gh - Phi)/p, g, h) = 1 over F_p."""
     fbar = Phi.reduce_mod(p)
-    g_bar = PolyModP.one(p)
+    g_bar = PolyModP(p, (1,))
     for fac, _ in factors:
         g_bar = g_bar * fac
     h_bar = fbar // g_bar
@@ -470,7 +470,7 @@ class _RefElem:
         return _RefElem(self.phi, self.value * other)
 
     def inverse(self):
-        p, one = self.phi.p, PolyModP.one(self.phi.p)
+        p, one = self.phi.p, PolyModP(self.phi.p, (1,))
         for digits in itertools.product(range(p), repeat=self.phi.degree):
             y = _RefElem(self.phi, PolyModP(p, digits))
             if (self * y).value == one:
@@ -558,7 +558,7 @@ def test_residue_field_polynomials_match_reference():
 
 def test_fq_inverse_of_every_nonzero_element():
     for p in (2, 3, 5, 7):
-        one = PolyModP.one(p)
+        one = PolyModP(p, (1,))
         for d in (1, 2, 3):
             for tail in itertools.product(range(p), repeat=d):
                 phi = PolyModP(p, tail + (1,))
@@ -593,12 +593,12 @@ def test_fq_inverse_over_a_linear_modulus_at_large_p():
         for _ in range(20):
             c = PolyModP(p, (rng.randrange(1, p),))
             inv = PolyFq(phi)._inverse(c)
-            assert c * inv % phi == PolyModP.one(p)
+            assert c * inv % phi == PolyModP(p, (1,))
             assert inv.coeffs == (pow(c.coeffs[0], p - 2, p),)
     verdicts = []
     for f, root in _linear_fq_cases():
         verdicts.append(f.is_separable())
         if root is not None:
-            one = PolyModP.one(root.p)
+            one = PolyModP(root.p, (1,))
             assert f.gcd(f.derivative()) == PolyFq(f.modulus, (-root, one))
     assert verdicts == [True, False] * 16  # as the Fermat inverse gave them

@@ -11,7 +11,6 @@ from monodiv import (
     observed_psi_valuation,
     predicted_fueter_valuation,
     predicted_valuation,
-    singular_T,
     singular_case,
     tate_curve,
 )
@@ -19,6 +18,7 @@ from monodiv.arith import factor
 from monodiv.valuation import singular_fueter_T, singular_x
 
 from conftest import random_tate_params
+from references import singular_T
 
 
 # --- the floor sequence ------------------------------------------------------
