@@ -260,11 +260,11 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
     )
 
 
-def is_squarefree(x: int, budget_ms: int | None = None) -> bool:
+def is_squarefree(x: int) -> bool:
     """True iff no prime square divides x (x nonzero)."""
     if x == 0:
         raise ValueError("squarefreeness of 0 is undefined")
-    return factor(x, budget_ms=budget_ms).is_squarefree()
+    return factor(x).is_squarefree()
 
 
 def legendre(a: int, p: int) -> int:

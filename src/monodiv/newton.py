@@ -180,10 +180,11 @@ def index_report(
 
     Only repeated factors mod p (exponent >= 2) get polygons; simple factors
     provably contribute 0 and are regular.  Supplied lifts override the
-    default least-non-negative lifts after validation.  A supplied
-    ``factors`` witness, the factorization of Phi mod p as (factor,
-    multiplicity) pairs, is checked and used in place of `factor_mod_p`;
-    a wrong witness raises MathDomainError.
+    default least-non-negative lifts after validation; two lifts of one
+    factor mod p raise MathDomainError.  A supplied ``factors`` witness, the
+    factorization of Phi mod p as (factor, multiplicity) pairs, is checked
+    and used in place of `factor_mod_p`; a wrong witness raises
+    MathDomainError.
     """
     if not Phi.is_monic:
         raise MathDomainError("Phi must be monic")
@@ -205,6 +206,10 @@ def index_report(
         if not any(fac == L_bar for fac, _ in factors):
             raise MathDomainError(
                 "supplied lift is not congruent to an irreducible factor mod p"
+            )
+        if L_bar in lift_map:
+            raise MathDomainError(
+                f"two supplied lifts reduce to the same factor {L_bar.to_text()} mod p"
             )
         lift_map[L_bar] = L
     reports = []

@@ -64,49 +64,18 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
     case = singular_case(curve, p)
     v = case.v
     if case.tag == "beta":
-        return ReductionData(
-            p=p,
-            kodaira=KodairaType("I", 4 * v),
-            f=1,
-            c=4 * v,
-            case_tag="tate1-1",
-            minimal_shift_w=0,
-        )
-    if case.tag == "minus":
-        if p % 4 == 1:
-            c = v
-            tag = "tate1-2a"
-        else:
-            c = 1 if v % 2 else 2
-            tag = "tate1-2b"
-        return ReductionData(
-            p=p,
-            kodaira=KodairaType("I", v),
-            f=1,
-            c=c,
-            case_tag=tag,
-            minimal_shift_w=0,
-        )
-    w = v // 2
-    if v % 2:
-        return ReductionData(
-            p=p,
-            kodaira=KodairaType("I*", v),
-            f=2,
-            c=4,
-            case_tag="tate1-3a",
-            minimal_shift_w=w,
-        )
-    unit = beta * curve.a // p ** (2 * w)
-    c = v if legendre(unit, p) == 1 else 2
-    return ReductionData(
-        p=p,
-        kodaira=KodairaType("I", v),
-        f=1,
-        c=c,
-        case_tag="tate1-3b",
-        minimal_shift_w=w,
-    )
+        kind, n, f, c, tag, w = "I", 4 * v, 1, 4 * v, "tate1-1", 0
+    elif case.tag == "minus" and p % 4 == 1:
+        kind, n, f, c, tag, w = "I", v, 1, v, "tate1-2a", 0
+    elif case.tag == "minus":
+        kind, n, f, c, tag, w = "I", v, 1, 1 if v % 2 else 2, "tate1-2b", 0
+    elif v % 2:
+        kind, n, f, c, tag, w = "I*", v, 2, 4, "tate1-3a", v // 2
+    else:
+        unit = beta * curve.a // p**v  # v = 2w
+        c = v if legendre(unit, p) == 1 else 2
+        kind, n, f, tag, w = "I", v, 1, "tate1-3b", v // 2
+    return ReductionData(p, KodairaType(kind, n), f, c, tag, w)
 
 
 def classify_two(alpha: int, beta: int) -> ReductionData:
@@ -115,75 +84,35 @@ def classify_two(alpha: int, beta: int) -> ReductionData:
     if beta % 2 == 0:
         # same analysis as the odd beta-divisibility case, with p = 2
         v = vp(beta, 2)
-        return ReductionData(
-            p=2,
-            kodaira=KodairaType("I", 4 * v),
-            f=1,
-            c=4 * v,
-            case_tag="tate2-beta",
-            minimal_shift_w=0,
-        )
+        return ReductionData(2, KodairaType("I", 4 * v), 1, 4 * v, "tate2-beta", 0)
     if a % 2:
         raise MathDomainError("good reduction at p = 2")
     v = vp(a, 2)
-    w = v // 2
     if v == 1:
-        return ReductionData(
-            p=2,
-            kodaira=KodairaType("I*", 1),
-            f=3,
-            c=4,
-            case_tag="tate2-1",
-            minimal_shift_w=0,
-        )
-    if v == 2:
-        return ReductionData(
-            p=2, kodaira=KodairaType("III"), f=None, c=None,
-            case_tag="tate2-2", minimal_shift_w=w,
-        )
-    if v % 2:
-        return ReductionData(
-            p=2, kodaira=KodairaType("I*", v), f=None, c=None,
-            case_tag="tate2-3", minimal_shift_w=w,
-        )
-    # v even, v >= 4: the stated (beta*a + 4a - 16)/32 is the w = 2 instance
-    # of the general (beta*a + 2^w a - 2^(2w)) / 2^(2w+1)
+        return ReductionData(2, KodairaType("I*", 1), 3, 4, "tate2-1", 0)
+    w = v // 2
+    # t1 is read for even v >= 4 only: there the stated (beta*a + 4a - 16)/32
+    # is the w = 2 instance of the general (beta*a + 2^w a - 2^(2w)) / 2^(2w+1)
     t1 = (beta * a + 2**w * a - 2 ** (2 * w)) // 2 ** (2 * w + 1)
-    if v == 4:
-        if t1 % 2:
-            return ReductionData(
-                p=2, kodaira=KodairaType("I*", 0), f=None, c=None,
-                case_tag="tate2-4", minimal_shift_w=w,
-            )
-        u = beta * a * a // 2**8
-        if u % 4 == 1:
-            return ReductionData(
-                p=2, kodaira=KodairaType("I*", 2), f=None, c=None,
-                case_tag="tate2-5a", minimal_shift_w=w,
-            )
-        return ReductionData(
-            p=2, kodaira=KodairaType("I*", 3), f=None, c=None,
-            case_tag="tate2-5b", minimal_shift_w=w,
-        )
-    if t1 % 2:
-        return ReductionData(
-            p=2, kodaira=KodairaType("I*", v - 4), f=None, c=None,
-            case_tag="tate2-6a", minimal_shift_w=w,
-        )
-    if v == 6:
-        return ReductionData(
-            p=2, kodaira=KodairaType("III*"), f=None, c=None,
-            case_tag="tate2-6bi", minimal_shift_w=w,
-        )
-    if v == 8:
-        return ReductionData(
-            p=2, kodaira=KodairaType("good"), f=None, c=None,
-            case_tag="tate2-6bii", minimal_shift_w=w,
-        )
-    return ReductionData(
-        p=2, kodaira=KodairaType("I", v - 8), f=None, c=None,
-        case_tag="tate2-6biii", minimal_shift_w=w,
-    )
+    if v == 2:
+        kind, n, tag = "III", None, "tate2-2"
+    elif v % 2:
+        kind, n, tag = "I*", v, "tate2-3"
+    elif v == 4 and t1 % 2:
+        kind, n, tag = "I*", 0, "tate2-4"
+    elif v == 4 and (beta * a * a // 2**8) % 4 == 1:
+        kind, n, tag = "I*", 2, "tate2-5a"
+    elif v == 4:
+        kind, n, tag = "I*", 3, "tate2-5b"
+    elif t1 % 2:
+        kind, n, tag = "I*", v - 4, "tate2-6a"
+    elif v == 6:
+        kind, n, tag = "III*", None, "tate2-6bi"
+    elif v == 8:
+        kind, n, tag = "good", None, "tate2-6bii"
+    else:
+        kind, n, tag = "I", v - 8, "tate2-6biii"
+    return ReductionData(2, KodairaType(kind, n), None, None, tag, w)
 
 
 def bad_primes(alpha: int, beta: int, budget_ms: int | None = None) -> list[int]:

@@ -13,7 +13,6 @@ The floor sequence R_n(a, l) of the multiplicative-reduction analysis is here to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +54,7 @@ def R(n: int, a: int, ell: int) -> int:
     L = abs(ell)
     ahat = a % L
     nahat = (n * a) % L
-    first = Fraction(n * n * ahat * (ell - ahat), 2 * ell)
-    second = Fraction(nahat * (ell - nahat), 2 * ell)
-    return math.floor(first) - math.floor(second)
+    return n * n * ahat * (ell - ahat) // (2 * ell) - nahat * (ell - nahat) // (2 * ell)
 
 
 def _odd_only(n: int) -> None:
@@ -100,11 +97,10 @@ def singular_x(case: SingularCase, curve: TateNormalCurve) -> int:
 
 
 def singular_fueter_T(case: SingularCase, curve: TateNormalCurve) -> Fraction:
-    """Exact rational Fueter coordinate above the singular point."""
-    if case.tag == "minus":
-        # T = a*beta / (x + a*beta) at x = -2^5 beta^2, simplified
-        return Fraction(curve.a, curve.a - 32 * curve.beta)
-    return Fraction(1)
+    """Exact rational Fueter coordinate above the singular point:
+    T = a*beta / (x + a*beta), the inverse of `T_to_x`."""
+    ab = curve.a * curve.beta
+    return Fraction(ab, singular_x(case, curve) + ab)
 
 
 def observed_psi_valuation(curve: TateNormalCurve, case: SingularCase, n: int) -> int:

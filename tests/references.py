@@ -5,9 +5,10 @@ the Sturm count and the rational-root search check ``galois_signature``'s
 closed forms, ``x_to_T``/``double_x`` check the coordinate change and the
 reduction lemma behind the singular Fueter point, ``singular_T`` checks the
 lifts of ``certify._closed_form``, ``reconstruct`` is the oracle of
-``phi_development`` and ``two_torsion_poly`` that of the division
-recurrence."""
+``phi_development``, ``two_torsion_poly`` that of the division recurrence,
+and ``R_fraction``, the Fraction form of the floor sequence, that of ``R``."""
 
+import math
 from fractions import Fraction
 
 from monodiv import (
@@ -114,3 +115,13 @@ def reconstruct(dev: PhiDevelopment) -> PolyInt:
         out = out + a * power
         power = power * dev.phi
     return out
+
+
+def R_fraction(n: int, a: int, ell: int) -> int:
+    """R_n(a, l) with each floor taken of an exact Fraction (ell nonzero)."""
+    L = abs(ell)
+    ahat = a % L
+    nahat = (n * a) % L
+    first = Fraction(n * n * ahat * (ell - ahat), 2 * ell)
+    second = Fraction(nahat * (ell - nahat), 2 * ell)
+    return math.floor(first) - math.floor(second)

@@ -125,6 +125,46 @@ def test_index_json_golden_with_a_residual_over_f9():
     )
 
 
+def test_index_phi_override_json_golden():
+    # x + 2 is a lift of x mod 2 whose residual is inseparable: bound only
+    code, out, _ = invoke("index", "--poly=0,4,1", "--prime", "2", "--phi=2,1", "--json")
+    assert code == 0
+    assert out == (
+        '{"p":2,"ind_p_lower_bound":1,"exact":false,"per_phi":[{"phi":"2,1",'
+        '"exponent":2,"a0_val":2,"ind_phi":1,"regular":false,"polygon":'
+        '{"points":[[0,2],[1,null],[2,0]],"sides":[{"x0":0,"y0":2,"x1":2,"y1":0,'
+        '"slope":"-1","degree":2}]}}]}\n'
+    )
+
+
+def test_index_phi_override_text_and_default_lift():
+    code, out, _ = invoke("index", "--poly=0,4,1", "--prime", "2", "--phi=2,1")
+    assert code == 0
+    assert out.splitlines() == [
+        "p = 2: ind_p >= 1 (bound only)",
+        "  phi = 2,1 (e = 2): ind_phi = 1, regular = False",
+    ]
+    code, out, _ = invoke("index", "--poly=0,4,1", "--prime", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "p = 2: ind_p >= 2 (exact)",
+        "  phi = 0,1 (e = 2): ind_phi = 2, regular = True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("--phi=1,1", "supplied lift is not congruent to an irreducible factor mod p"),
+        ("--phi=0,2", "supplied lift must be monic"),
+    ],
+)
+def test_index_phi_override_rejected(phi, message):
+    code, out, err = invoke("index", "--poly=0,4,1", "--prime", "2", phi)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_scan_text_summary():
     code, out, _ = invoke("scan", "--min", "2", "--max", "7")
     assert code == 0

@@ -231,6 +231,15 @@ def test_index_report_lift_choice():
     assert (inexact.ind_p_lower_bound, inexact.exact) == (1, False)
 
 
+def test_index_report_rejects_two_lifts_of_one_factor():
+    # x and x + 2 are both lifts of x mod 2; keeping either one would make
+    # the answer depend on the order of the list (exact 2 or bound 1)
+    f = PolyInt((0, 4, 1))
+    for lifts in ([PolyInt((0, 1)), PolyInt((2, 1))], [PolyInt((2, 1)), PolyInt((0, 1))]):
+        with pytest.raises(MathDomainError, match="same factor 0,1 mod p"):
+            index_report(f, 2, lifts=lifts)
+
+
 def test_index_report_lift_invariance_when_exact():
     # two different lifts of T - 1 mod 2 give the same exact answer
     for lift in (T_MINUS(1), T_MINUS(3), PolyInt((5, 1))):

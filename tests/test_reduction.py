@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -9,9 +11,12 @@ from monodiv import (
     classify_odd,
     classify_two,
     reduction_table,
+    singular_case,
+    tate_curve,
     vp,
 )
 from monodiv.reduction import KodairaType, bad_primes
+from monodiv.valuation import singular_fueter_T
 
 from conftest import random_tate_params
 
@@ -231,3 +236,35 @@ def test_reduction_table_spends_one_budget_on_the_whole_request(monkeypatch):
     assert 60 < budgets[0] <= 100
     assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
     assert budgets[1] <= 40 and budgets[2] == 0.0
+
+
+def test_classify_and_singular_point_sweep_digests():
+    # pins every classify_two/classify_odd row or error, and every singular
+    # Fueter point at odd p, over a grid that reaches all sixteen table rows
+    classify, fueter, tags = hashlib.sha256(), hashlib.sha256(), Counter()
+    for alpha in range(-1100, 1101):
+        for beta in (1, 2, 3, 5, 9):
+            for p in (2, 3, 5, 7):
+                try:
+                    data = classify_two(alpha, beta) if p == 2 else classify_odd(alpha, beta, p)
+                    line = repr(data)
+                    tags[data.case_tag] += 1
+                except MathDomainError as e:
+                    line = f"{type(e).__name__}: {e}"
+                classify.update(line.encode() + b"\n")
+                if p == 2:
+                    continue
+                try:
+                    curve = tate_curve(alpha, beta)
+                    line = repr(singular_fueter_T(singular_case(curve, p), curve))
+                except MathDomainError as e:
+                    line = f"{type(e).__name__}: {e}"
+                fueter.update(line.encode() + b"\n")
+    assert classify.hexdigest() == (
+        "ba2993e2dba57939c66751a00659e368945b2a42e7d831ede0cf277706b468eb"
+    )
+    assert fueter.hexdigest() == (
+        "c1d927c808740bf09eebc46154e1420ba898d03c8abbbd6a5969a73c355fc3bb"
+    )
+    assert len(tags) == 16
+    assert min(tags.values()) == tags["tate2-6biii"] == 4

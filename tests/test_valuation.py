@@ -18,7 +18,7 @@ from monodiv.arith import factor
 from monodiv.valuation import singular_fueter_T, singular_x
 
 from conftest import random_tate_params
-from references import singular_T
+from references import R_fraction, singular_T
 
 
 # --- the floor sequence ------------------------------------------------------
@@ -52,6 +52,14 @@ def test_R_scaling_identity():
 def test_R_rejects_zero_modulus():
     with pytest.raises(MathDomainError):
         R(3, 1, 0)
+
+
+def test_R_matches_the_fraction_floors():
+    # integer floor division against exact Fraction floors, negative l too
+    for n in range(-12, 13):
+        for a in range(-30, 31):
+            for ell in (*range(1, 26), *range(-25, 0)):
+                assert R(n, a, ell) == R_fraction(n, a, ell), (n, a, ell)
 
 
 # --- case classification -----------------------------------------------------
