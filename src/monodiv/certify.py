@@ -83,11 +83,9 @@ def is_irreducible_quartic(f: PolyInt, budget_ms: int | None = None) -> bool:
         r = math.isqrt(disc)
         if r * r != disc:
             continue
+        # s = r mod 2 as s^2 - r^2 = 4*prod, so a, c = (s +- r)/2 are integers with ac = prod
         for a_coef in {(s + r) // 2, (s - r) // 2}:
-            if 2 * a_coef not in (s + r, s - r):
-                continue
-            c_coef = s - a_coef
-            if a_coef * c_coef == prod and a_coef * d + b * c_coef == c1:
+            if a_coef * d + b * (s - a_coef) == c1:
                 return False
     return True
 

@@ -39,6 +39,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _bounded_n(text: str) -> int:
     n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("n must be at least 1")
     if n > MAX_N:
         raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}")
     return n
@@ -110,8 +112,6 @@ def _reduction_row(r: reduction.ReductionData) -> dict:
 
 def _render_polygon(polygon: newton.NewtonPolygon) -> str:
     finite = [(j, v) for j, v in polygon.points if v is not None]
-    if not finite:
-        return "(no finite points)"
     max_v = max(v for _, v in finite)
     max_j = max(j for j, _ in finite)
     vertices = set()

@@ -248,8 +248,8 @@ def _checked_factorization(
 ) -> list[tuple[PolyModP, int]]:
     """Accept the factors of a claimed factorization over F_p, in the
     canonical order of `factor_mod_p`, or raise MathDomainError naming the
-    check it fails.  Checking costs, per factor of degree >= 2, a Rabin
-    test; no factoring.  `_dedekind` checks that their product is Phi mod p."""
+    check it fails.  Checking costs a distinct-degree split per factor of
+    degree >= 2; no factoring.  `_dedekind` checks that their product is Phi mod p."""
     for fac, e in factors:
         if not isinstance(fac, PolyModP) or fac.p != p:
             raise MathDomainError(f"witness factor {fac!r} is not a polynomial mod p = {p}")

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor, vp
+from .arith import vp
 from .errors import MathDomainError
 
 _FACTOR_SEED = 0x5EED_1D1  # fixed: reproducible factorizations and certificates
@@ -256,8 +256,6 @@ class PolyRat(_DensePoly):
 
     def clear_denominators(self) -> tuple[PolyInt, int]:
         """Return (F, d) with self = F / d and F integral of the same degree."""
-        if self.is_zero:
-            return PolyInt.zero(), 1
         d = math.lcm(*(c.denominator for c in self.coeffs))
         return PolyInt(int(c * d) for c in self.coeffs), d
 
@@ -284,10 +282,6 @@ class PolyModP(_DensePoly):
     def _inverse(self, c: int) -> int:
         return pow(c, -1, self.p)
 
-    @classmethod
-    def x(cls, p: int) -> "PolyModP":
-        return cls(p, (0, 1))
-
     def __repr__(self) -> str:
         return f"PolyModP({self.p}, {list(self.coeffs)})"
 
@@ -303,23 +297,9 @@ class PolyModP(_DensePoly):
         return PolyInt(self.coeffs)
 
     def is_irreducible(self) -> bool:
-        """Rabin irreducibility test."""
-        d = self.degree
-        if d < 1:
-            return False
-        if d == 1:
-            return True
-        f = self.monic()
-        p = self.p
-        xp = PolyModP.x(p)
-        h = pow(xp, p**d, f)
-        if h != xp % f:
-            return False
-        for q in factor(d).primes():
-            h = pow(xp, p ** (d // q), f)
-            if f.gcd(h - xp).degree != 0:
-                return False
-        return True
+        """A reducible polynomial has an irreducible factor of degree at most
+        half its own, which the distinct-degree split finds first."""
+        return self.degree >= 1 and _distinct_degree(self.monic())[0][0] == self.degree
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +312,7 @@ def _squarefree_parts(f: PolyModP) -> list[tuple[PolyModP, int]]:
     out: list[tuple[PolyModP, int]] = []
     e = 1
     while f.degree > 0:
-        df = f.derivative()
-        if df.is_zero:
-            f = f.pth_root()
-            e *= p
-            continue
-        c = f.gcd(df)
+        c = f.gcd(f.derivative())  # f itself when f' = 0
         w = f // c
         i = 1
         while w.degree > 0:
@@ -348,19 +323,19 @@ def _squarefree_parts(f: PolyModP) -> list[tuple[PolyModP, int]]:
             w = y
             c = c // y
             i += 1
-        if c.degree > 0:
-            f = c.pth_root()
-            e *= p
-        else:
-            break
+        # what is left is a p-th power, 1 once f is used up
+        f = c.pth_root()
+        e *= p
     return out
 
 
 def _distinct_degree(f: PolyModP) -> list[tuple[int, PolyModP]]:
-    """Split monic squarefree f into (d, product of degree-d irreducibles)."""
+    """Split monic squarefree f into (d, product of degree-d irreducibles).
+    Squarefree or not, a nonconstant f's first d is its least factor degree."""
     p = f.p
+    x = PolyModP(p, (0, 1))
     out = []
-    h = PolyModP.x(p)
+    h = x
     d = 0
     while f.degree > 0:
         d += 1
@@ -368,7 +343,7 @@ def _distinct_degree(f: PolyModP) -> list[tuple[int, PolyModP]]:
             out.append((f.degree, f))
             break
         h = pow(h, p, f)
-        g = f.gcd(h - PolyModP.x(p))
+        g = f.gcd(h - x)
         if g.degree > 0:
             out.append((d, g))
             f = f // g
@@ -414,8 +389,6 @@ def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
     """
     if f.is_zero:
         raise MathDomainError("cannot factor the zero polynomial")
-    if f.degree < 1:
-        return []
     rng = random.Random(_FACTOR_SEED)
     out: list[tuple[PolyModP, int]] = []
     for part, mult in _squarefree_parts(f.monic()):

@@ -1,26 +1,32 @@
 """Reference implementations that the package no longer carries.
 
-The package never called these; the tests keep them as frozen references:
+The tests keep them as frozen references:
 the Sturm count and the rational-root search check ``galois_signature``'s
 closed forms, ``x_to_T``/``double_x`` check the coordinate change and the
 reduction lemma behind the singular Fueter point, ``singular_T`` checks the
 lifts of ``certify._closed_form``, ``reconstruct`` is the oracle of
 ``phi_development``, ``two_torsion_poly`` that of the division recurrence,
-and ``R_fraction``, the Fraction form of the floor sequence, that of ``R``."""
+``R_fraction``, the Fraction form of the floor sequence, that of ``R``, and
+Rabin's test and Yun's loop with its special cases, the package's former
+irreducibility test and squarefree split mod p, are the oracles of the
+distinct-degree test and the plain loop that replaced them."""
 
 import math
+import random
 from fractions import Fraction
 
 from monodiv import (
     MathDomainError,
     PhiDevelopment,
     PolyInt,
+    PolyModP,
     PolyRat,
     SingularCase,
     TateNormalCurve,
     WeierstrassCurve,
 )
-from monodiv.arith import divisors
+from monodiv import poly
+from monodiv.arith import divisors, factor
 from monodiv.valuation import singular_fueter_T
 
 
@@ -125,3 +131,68 @@ def R_fraction(n: int, a: int, ell: int) -> int:
     first = Fraction(n * n * ahat * (ell - ahat), 2 * ell)
     second = Fraction(nahat * (ell - nahat), 2 * ell)
     return math.floor(first) - math.floor(second)
+
+
+def is_irreducible_rabin(f: PolyModP) -> bool:
+    """Rabin's test: f of degree d is irreducible over F_p iff x^(p^d) = x
+    mod f and gcd(f, x^(p^(d/q)) - x) = 1 for every prime q dividing d."""
+    d = f.degree
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    f = f.monic()
+    p = f.p
+    x = PolyModP(p, (0, 1))
+    if pow(x, p**d, f) != x % f:
+        return False
+    for q in factor(d).primes():
+        if f.gcd(pow(x, p ** (d // q), f) - x).degree != 0:
+            return False
+    return True
+
+
+def squarefree_parts_yun(f: PolyModP) -> list[tuple[PolyModP, int]]:
+    """Yun's loop with a branch for f' = 0 and a stop once no p-th power is left."""
+    p = f.p
+    out = []
+    e = 1
+    while f.degree > 0:
+        df = f.derivative()
+        if df.is_zero:
+            f = f.pth_root()
+            e *= p
+            continue
+        c = f.gcd(df)
+        w = f // c
+        i = 1
+        while w.degree > 0:
+            y = w.gcd(c)
+            z = w // y
+            if z.degree > 0:
+                out.append((z, i * e))
+            w = y
+            c = c // y
+            i += 1
+        if c.degree > 0:
+            f = c.pth_root()
+            e *= p
+        else:
+            break
+    return out
+
+
+def factor_mod_p_yun(f: PolyModP) -> list[tuple[PolyModP, int]]:
+    """`factor_mod_p` on `squarefree_parts_yun`, with its branch for constants."""
+    if f.is_zero:
+        raise MathDomainError("cannot factor the zero polynomial")
+    if f.degree < 1:
+        return []
+    rng = random.Random(poly._FACTOR_SEED)
+    out = []
+    for part, mult in squarefree_parts_yun(f.monic()):
+        for d, prod in poly._distinct_degree(part):
+            for irr in poly._equal_degree(prod, d, rng):
+                out.append((irr, mult))
+    out.sort(key=poly.factor_order)
+    return out

@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+import sympy
 
 from monodiv import (
     BudgetExceededError,
@@ -61,6 +62,26 @@ def test_irreducibility_tester():
     assert not is_irreducible_quartic(f)
     g = PolyInt((-1, 1)) * PolyInt((5, 1, 2, 1))
     assert not is_irreducible_quartic(g)
+
+
+def test_irreducibility_tester_matches_sympy_on_seeded_quartics():
+    # half random monic quartics, half products of monic integer factors of
+    # degrees 2 + 2 or 1 + 3, so that both the root and the quadratic search decide
+    rng = random.Random("quartic_split")
+    x = sympy.Symbol("x")
+    reducible = 0
+    for i in range(600):
+        if i % 2:
+            split = rng.choice((1, 2, 2))
+            f = PolyInt([rng.randint(-9, 9) for _ in range(split)] + [1]) * PolyInt(
+                [rng.randint(-9, 9) for _ in range(4 - split)] + [1]
+            )
+        else:
+            f = PolyInt([rng.randint(-40, 40) for _ in range(4)] + [1])
+        oracle = sympy.Poly(list(reversed(f.coeffs)), x).is_irreducible
+        assert is_irreducible_quartic(f) == oracle, f
+        reducible += not oracle
+    assert 300 <= reducible < 600
 
 
 def test_quartic_is_reducible_exactly_at_alpha_plus_minus_8():
@@ -583,6 +604,18 @@ def test_montes_budget_covers_the_irreducibility_test():
     assert cert.reason.startswith("factorization budget exceeded")
     # the budget ran out before irreducibility was decided
     assert cert.hypothesis_ok is False
+
+
+def test_montes_rejects_a_polynomial_that_is_not_squarefree():
+    with pytest.raises(MathDomainError, match="polynomial must be squarefree over Q"):
+        montes_certificate(PolyInt((1, 0, 2, 0, 1)))  # (T^2 + 1)^2
+
+
+def test_certify_budget_runs_out_before_the_hypothesis_is_decided():
+    # alpha - 8 is a 122-bit semiprime: rho cannot split it in a millisecond
+    cert = certify((2**61 - 1) * 1152921504606847009 + 8, budget_ms=1)
+    assert cert.verdict == "not_certified" and cert.hypothesis_ok is False
+    assert cert.reason.startswith("factorization budget exceeded: ")
 
 
 def test_montes_budget_spent_on_disc_keeps_the_decided_hypothesis(monkeypatch):

@@ -277,6 +277,25 @@ def test_n_above_cap_is_usage_error():
         assert exc.value.code == 2, argv
 
 
+def test_n_below_one_is_usage_error(capsys):
+    for argv in (
+        ("divpoly", "--alpha", "2", "--beta", "1"),
+        ("fueter", "--alpha", "2", "--beta", "1"),
+        ("valuation", "--alpha", "13", "--beta", "1", "--prime", "5"),
+    ):
+        for n in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--n", n])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2, argv
+            assert captured.out == ""
+            assert "argument --n: n must be at least 1" in captured.err
+    with pytest.raises(SystemExit):
+        run(["divpoly", "--alpha", "2", "--beta", "1", "--n", "42"])
+    assert "argument --n: n must be at most 41" in capsys.readouterr().err
+    assert invoke("divpoly", "--alpha", "2", "--beta", "1", "--n", "1") == (0, "1\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -335,6 +354,47 @@ def test_budget_exit_code():
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_certify_budget_exit_code():
+    # alpha - 8 is a 122-bit semiprime; certify reports its own budget reason
+    alpha = (2**61 - 1) * 1152921504606847009 + 8
+    code, out, err = invoke("certify", "--alpha", str(alpha), "--budget-ms", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("factorization budget exceeded: ")
+
+
+def test_reduce_at_two_text_row():
+    code, out, err = invoke("reduce", "--alpha", "2", "--beta", "1", "--prime", "2")
+    assert (code, err) == (0, "")
+    assert out == "p      kodaira  f  c  case\n2      I*_1     3  4  tate2-1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("divpoly", "--n", "3"), "provide --alpha/--beta or --a-invariants"),
+        (("divpoly", "--a-invariants", "0,0,1", "--n", "3"), "--a-invariants needs a1,a2,a3,a4,a6"),
+    ],
+)
+def test_divpoly_curve_arguments_are_math_errors(argv, message):
+    assert invoke(*argv) == (1, "", f"error: {message}\n")
+
+
+def test_certify_text_reason_and_trust_lines():
+    code, out, _ = invoke("certify", "--alpha", "0")
+    assert code == 0
+    assert out == (
+        "alpha = 0: hypothesis_failed\n"
+        "  reason: alpha - 8 or alpha + 8 is not squarefree\n"
+    )
+    code, out, _ = invoke("certify", "--alpha", str(2**61 + 7))
+    assert code == 0
+    assert out.endswith(
+        "  trust: prime 2305843009213693951 of alpha - 8 is probable, not certified\n"
+        "  trust: prime 2305843009213693967 of alpha + 8 is probable, not certified\n"
+    )
+    assert out.startswith("alpha = 2305843009213693959: monogenic\n")
 
 
 def test_no_floats_in_json_outputs():

@@ -611,3 +611,11 @@ def test_fq_inverse_over_a_linear_modulus_at_large_p():
             one = PolyModP(root.p, (1,))
             assert f.gcd(f.derivative()) == PolyFq(f.modulus, (-root, one))
     assert verdicts == [True, False] * 16  # as the Fermat inverse gave them
+
+
+def test_non_monic_phi_is_rejected():
+    Phi = PolyInt((1, 0, 2))
+    with pytest.raises(MathDomainError, match="Phi must be monic"):
+        index_report(Phi, 3)
+    with pytest.raises(MathDomainError, match="Phi must be monic"):
+        dedekind_p_maximal(Phi, 3)

@@ -15,6 +15,7 @@ from monodiv import (
     discriminant,
     factor_mod_p,
     fueter,
+    index_report,
     phi_development,
     psi,
     resultant,
@@ -22,7 +23,13 @@ from monodiv import (
 )
 from monodiv import poly as poly_module
 from conftest import to_sympy
-from references import count_real_roots, rational_roots, reconstruct
+from references import (
+    count_real_roots,
+    factor_mod_p_yun,
+    is_irreducible_rabin,
+    rational_roots,
+    reconstruct,
+)
 
 F3_ALPHA2 = PolyInt((-3, -2, -6, 0, 1))  # T^4 - 6T^2 - 2T - 3
 
@@ -198,6 +205,61 @@ def test_factor_mod_p_matches_sympy(f, p):
         if len(coeffs) > 1:
             theirs.add((coeffs, e))
     assert ours == theirs
+
+
+def _seeded_polys_mod_p():
+    """Products of 1-4 random monic factors with exponents 1, 2, 3, p or 2p,
+    scaled by a unit, and random polynomials of degree 0-8: up to degree 24
+    for small p, and up to degree 8 for p = 2^31 - 1."""
+    rng = random.Random(15)
+    for p, cap in [(2, 24), (3, 24), (5, 24), (7, 24), (11, 24), (13, 24), (101, 24), (2**31 - 1, 8)]:
+        for _ in range(50):
+            f = PolyModP(p, (rng.randrange(1, p),))
+            for _ in range(rng.randint(1, 4)):
+                deg, e = rng.randint(1, 4), rng.choice((1, 2, 3, p, 2 * p))
+                if f.degree + deg * e <= cap:
+                    f = f * PolyModP(p, [rng.randrange(p) for _ in range(deg)] + [1]) ** e
+            yield f
+        for _ in range(22):
+            deg = rng.randint(0, 8)
+            yield PolyModP(p, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+
+def test_factor_mod_p_and_irreducibility_match_rabin_and_yun_with_special_cases():
+    cases = list(_seeded_polys_mod_p())
+    assert len(cases) == 576
+    irreducible = pth_powers = 0
+    for f in cases:
+        factors = factor_mod_p(f)
+        assert factors == factor_mod_p_yun(f), f
+        assert f.is_irreducible() == is_irreducible_rabin(f), f
+        irreducible += f.is_irreducible()
+        pth_powers += any(e % f.p == 0 for _, e in factors)
+        for fac, _ in factors:
+            assert fac.is_irreducible() and is_irreducible_rabin(fac), fac
+    assert irreducible >= 40 and pth_powers >= 40
+
+
+def test_irreducibility_and_witness_checks_never_factor_an_integer(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("integer factoring reached")
+
+    rng = random.Random(7)
+    polys = [
+        PolyModP(p, [rng.randrange(p) for _ in range(d)] + [1])
+        for p in (2, 3, 5, 7, 101)
+        for d in range(2, 13)
+        for _ in range(3)
+    ]
+    expected = [is_irreducible_rabin(f) for f in polys]
+    Phi = PolyInt((4, 0, 2, 0, 1))  # (x^2 + 1)^2 mod 3, and x^2 + 1 is irreducible mod 3
+    witness = [(PolyModP(3, (1, 0, 1)), 2)]
+    monkeypatch.setattr("monodiv.arith.factor", boom)
+    monkeypatch.setattr("monodiv.poly.factor", boom, raising=False)
+    assert [f.is_irreducible() for f in polys] == expected
+    assert True in expected and False in expected
+    report = index_report(Phi, 3, factors=witness)
+    assert [(r.phi, r.exponent) for r in report.per_phi] == [(PolyInt((1, 0, 1)), 2)]
 
 
 def test_gcd_mod_p_examples():

@@ -221,3 +221,8 @@ def test_observed_zero_value_signals_infinite():
 
     with pytest.raises(InfiniteValuationError):
         vp_fraction(Fraction(0), 5)
+
+
+def test_unknown_case_tag_is_rejected():
+    with pytest.raises(MathDomainError, match="unknown case tag"):
+        predicted_valuation(SingularCase("foo", 5, 1), 3)
