@@ -4,11 +4,13 @@ The certifier walks the prime-by-prime analysis: p = 2 (only when alpha is
 even; development base T - 1), p = 3 (base T, T - 4 or T + 4 according to
 alpha mod 3), and every odd p >= 5 dividing (alpha - 8)(alpha + 8), with the
 development base T - T0 placed at the singular Fueter coordinate.  Each row
-of a certificate is the `IndexReport` that `index_report` returned for its
-prime: the polygon index bound must be exactly zero and Dedekind's criterion
-(`IndexReport.dedekind`, run on the same factorization mod p) must hold.
-That factorization is the quartic's closed form mod p (`_closed_form`), which
-`index_report` checks as a witness instead of factoring.
+of a certificate is the `IndexReport` of its prime: the polygon index bound
+must be exactly zero and Dedekind's criterion (`IndexReport.dedekind`) must
+hold.  `_row` builds that report from the T0-development of the quartic in
+closed form, with the proof in a comment, and falls back to the generic
+`index_report` pass only where that proof does not apply, which no alpha
+satisfying the hypothesis reaches.  `montes_certificate`, and with it the
+survey, runs the generic pass at every prime, as the `index` command does.
 
 The family's closed forms stand in for re-checks and for the curve analysis:
 the quartic has discriminant -27 (alpha - 8)^2 (alpha + 8)^2, which is never
@@ -34,8 +36,14 @@ from .errors import BudgetExceededError, MathDomainError
 # perfbench/spans.py patches dedekind_p_maximal and reduction_table in this
 # module by name, though nothing here calls them; drop both imports together
 # with those patches.
-from .newton import IndexReport, dedekind_p_maximal, index_report  # noqa: F401
-from .poly import PolyInt, PolyModP, discriminant, resultant
+from .newton import (  # noqa: F401
+    IndexReport,
+    PhiReport,
+    _polygon_from_values,
+    dedekind_p_maximal,
+    index_report,
+)
+from .poly import PolyFq, PolyInt, PolyModP, discriminant, resultant
 from .reduction import reduction_table  # noqa: F401
 
 SCHEMA_VERSION = 1
@@ -173,39 +181,67 @@ def _row_failure(r: IndexReport) -> str | None:
     return None
 
 
-# Phi = T^4 - 6T^2 - alpha*T - 3 mod p, at every prime `certify` visits:
-# - p | alpha - 8 (p >= 5): Phi = (T^4 - 6T^2 - 8T - 3) - (alpha - 8)T, and
-#   T^4 - 6T^2 - 8T - 3 = (T + 1)^3 (T - 3), so Phi-bar = (T + 1)^3 (T - 3);
-# - p | alpha + 8 (p >= 5): the same with T -> -T, Phi-bar = (T - 1)^3 (T + 3);
-#   the cases are exclusive, as p | (alpha + 8) - (alpha - 8) = 16 forces
-#   p = 2, and T + 1 != T - 3 (T - 1 != T + 3) since p does not divide 4;
-# - p = 3: Phi-bar = T^4 - alpha*T = T (T^3 - alpha^3) = T (T - alpha)^3,
-#   as alpha^3 = alpha mod 3 and cubing is additive in characteristic 3;
-#   that is T^4 when 3 | alpha;
-# - p = 2 (alpha even): Phi-bar = T^4 + 1 = (T + 1)^4.
-# Dedekind at p | alpha - 8 in closed form: Phi - (T + 1)^3 (T - 3) =
-# -(alpha - 8) T, so F = -((alpha - 8)/p) T, and (T + 1) divides F-bar iff
-# F-bar = 0, i.e. iff p^2 | alpha - 8 (the criterion does not depend on the
-# lifts of the factors).  At p | alpha + 8, (T - 1) | F-bar iff p^2 | alpha + 8.
-# So with alpha -+ 8 squarefree the paper's hypothesis is Dedekind's criterion
-# at p >= 5; `index_report` still computes that answer itself.
-def _closed_form(alpha: int, p: int) -> tuple[PolyInt, list[tuple[PolyModP, int]]]:
-    """Development base T - T0 of the curve analysis and the factorization of
-    the quartic mod p, for a prime of the certificate.  For p >= 5, T0 is
-    the singular Fueter point of `tate_curve(alpha, 1)` reduced mod p
-    (`valuation.singular_fueter_T`): -1 when p | alpha - 8, and 1 when
-    p | alpha + 8.  T0 is the root of the repeated factor mod p in every
-    case."""
+# The row of one prime p of the certificate comes from the development
+# Phi(y + t0) = sum a_j y^j at the lift T - t0, whose coefficients have a
+# closed form: a4 = 1, a3 = 4 t0, a2 = 6 t0^2 - 6, a1 = Phi'(t0) =
+# 4 t0^3 - 12 t0 - alpha, a0 = Phi(t0).  t0 is the root of the repeated factor
+# of Phi mod p: 1 at p = 2 (Phi-bar = (T + 1)^4); 0, 4, -4 at p = 3 as alpha
+# is 0, 1, 2 mod 3 (Phi-bar = T^4 - alpha T = T (T - alpha)^3); for p >= 5, the
+# singular Fueter point of tate_curve(alpha, 1) mod p
+# (`valuation.singular_fueter_T`): p - 1 when p | alpha - 8 (Phi-bar =
+# (T + 1)^3 (T - 3), as Phi - (T + 1)^3 (T - 3) = -(alpha - 8) T) and 1 when
+# p | alpha + 8 (T -> -T).  Let e be the first j with v_p(a_j) = 0: the
+# multiplicity of T - t0 in Phi mod p.  When v_p(a0) = 1 and e >= deg Phi - 1:
+# - hull: 0 < j < e gives v_p(a_j) >= 1 > 1 - j/e, so the polygon is the one
+#   side (0, 1)-(e, 0), of degree gcd(1, e) = 1.  It has no lattice point
+#   with x, y >= 1, and its residual (a0/p) + a_e y has degree 1, so it is
+#   separable: ind_p = 0, and exactly.
+# - Dedekind: F = (Phi - prod)/p, and prod vanishes at the lift t~ = t0 mod p
+#   of the root that `_dedekind` takes, so F(t~) = Phi(t~)/p.  As
+#   Phi(t0 + kp) = Phi(t0) + kp Phi'(t0) mod p^2 and p | Phi'(t0) = a1 when
+#   e >= 2, Phi(t~) = a0 mod p^2, so F-bar(t0) != 0: T - t0 does not divide
+#   F-bar.
+# - no other repeated factor: with e >= 3 the cofactor of (T - t0)^e has
+#   degree <= 1.
+# The hypothesis (alpha -+ 8 squarefree) gives e >= 3 by the factorizations
+# above, and v_p(a0) = 1:
+# - p >= 5: a0 = Phi(p - 1) = Phi(-1) + p Phi'(-1) = (alpha - 8)(1 - p) mod p^2
+#   when p | alpha - 8, and a0 = Phi(1) = -(alpha + 8) when p | alpha + 8;
+# - p = 2: a0 = Phi(1) = -(alpha + 8);
+# - p = 3, 3 | alpha: a0 = Phi(0) = -3;
+# - p = 3, alpha = +-1 mod 3: a0 = Phi(+-4) = 157 -+ 4 alpha = -+4 (alpha -+ 1)
+#   mod 9, and 9 | alpha -+ 1 iff 9 | alpha +- 8.
+# So `index_report`, the generic pass, only builds the rows of other alphas.
+def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
+    """The `IndexReport` of the quartic f3 = three_torsion_quartic(alpha) at a
+    prime p of its certificate (3 or a prime of alpha -+ 8), at the lift
+    T - t0 of the curve analysis.  Built in closed form when the hypothesis
+    holds at p; `index_report` otherwise."""
     if p == 2:
-        t0, roots = 1, [(1, 4)]
+        t0 = 1
     elif p == 3:
         t0 = (0, 4, -4)[alpha % 3]
-        roots = [(0, 4)] if t0 == 0 else [(0, 1), (t0, 3)]
     elif (alpha - 8) % p == 0:
-        t0, roots = p - 1, [(p - 1, 3), (3, 1)]
+        t0 = p - 1
     else:
-        t0, roots = 1, [(1, 3), (-3, 1)]
-    return PolyInt((-t0, 1)), [(PolyModP(p, (-r, 1)), e) for r, e in roots]
+        t0 = 1
+    lift = PolyInt((-t0, 1))
+    a = (t0**4 - 6 * t0**2 - alpha * t0 - 3, 4 * t0**3 - 12 * t0 - alpha, 6 * t0**2 - 6, 4 * t0, 1)
+    values = [vp(c, p) if c else None for c in a]
+    e = values.index(0)
+    if values[0] != 1 or e < f3.degree - 1:
+        return index_report(f3, p, lifts=[lift])
+    residual = PolyFq(lift.reduce_mod(p), [PolyModP(p, (a[0] // p,)), PolyModP(p, (a[e],))])
+    phi_report = PhiReport(
+        phi=lift,
+        exponent=e,
+        polygon=_polygon_from_values(values),
+        a0_val=1,
+        ind_phi=0,
+        regular=True,
+        residuals=(residual,),
+    )
+    return IndexReport(p=p, per_phi=(phi_report,), ind_p_lower_bound=0, exact=True, dedekind=True)
 
 
 def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:
@@ -237,10 +273,7 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
     f3 = three_torsion_quartic(alpha)
     # 2 divides alpha -+ 8 exactly when alpha is even
     bad = set(fact_minus.primes() + fact_plus.primes())
-    reports = []
-    for p in sorted({3} | bad):
-        lift, factors = _closed_form(alpha, p)
-        reports.append(index_report(f3, p, lifts=[lift], factors=factors))
+    reports = [_row(f3, alpha, p) for p in sorted({3} | bad)]
     # reduction_ok: squarefree alpha -+ 8 gives v = 1 at every bad prime of
     # tate_curve(alpha, 1), so classify_odd finds I_1 (case "minus") or I*_1
     # (case "plus", v odd: tate1-3a), and an even alpha has v_2(alpha + 8) = 1,

@@ -4,7 +4,10 @@ The tests keep them as frozen references:
 the Sturm count and the rational-root search check ``galois_signature``'s
 closed forms, ``x_to_T``/``double_x`` check the coordinate change and the
 reduction lemma behind the singular Fueter point, ``singular_T`` checks the
-lifts of ``certify._closed_form``, ``reconstruct`` is the oracle of
+lifts of ``certify._row``, ``closed_form`` (the factorization of the quartic
+mod each prime of its certificate, which ``certify`` once handed to
+``index_report`` as a witness) is the oracle of those rows and of Dedekind's
+criterion there, ``reconstruct`` is the oracle of
 ``phi_development``, ``two_torsion_poly`` that of the division recurrence,
 ``R_fraction``, the Fraction form of the floor sequence, that of ``R``, and
 Rabin's test and Yun's loop with its special cases, the package's former
@@ -196,3 +199,33 @@ def factor_mod_p_yun(f: PolyModP) -> list[tuple[PolyModP, int]]:
                 out.append((irr, mult))
     out.sort(key=poly.factor_order)
     return out
+
+
+# Phi = T^4 - 6T^2 - alpha*T - 3 mod p, at every prime `certify` visits:
+# - p | alpha - 8 (p >= 5): Phi = (T^4 - 6T^2 - 8T - 3) - (alpha - 8)T, and
+#   T^4 - 6T^2 - 8T - 3 = (T + 1)^3 (T - 3), so Phi-bar = (T + 1)^3 (T - 3);
+# - p | alpha + 8 (p >= 5): the same with T -> -T, Phi-bar = (T - 1)^3 (T + 3);
+#   the cases are exclusive, as p | (alpha + 8) - (alpha - 8) = 16 forces
+#   p = 2, and T + 1 != T - 3 (T - 1 != T + 3) since p does not divide 4;
+# - p = 3: Phi-bar = T^4 - alpha*T = T (T^3 - alpha^3) = T (T - alpha)^3,
+#   as alpha^3 = alpha mod 3 and cubing is additive in characteristic 3;
+#   that is T^4 when 3 | alpha;
+# - p = 2 (alpha even): Phi-bar = T^4 + 1 = (T + 1)^4.
+# Dedekind at p | alpha - 8 in closed form: Phi - (T + 1)^3 (T - 3) =
+# -(alpha - 8) T, so F = -((alpha - 8)/p) T, and (T + 1) divides F-bar iff
+# F-bar = 0, i.e. iff p^2 | alpha - 8 (the criterion does not depend on the
+# lifts of the factors).  At p | alpha + 8, (T - 1) | F-bar iff p^2 | alpha + 8.
+def closed_form(alpha: int, p: int) -> tuple[PolyInt, list[tuple[PolyModP, int]]]:
+    """Development base T - T0 of the curve analysis and the factorization of
+    the quartic mod p, for a prime of the certificate (3 or a prime of
+    alpha -+ 8).  T0 is the root of the repeated factor mod p."""
+    if p == 2:
+        t0, roots = 1, [(1, 4)]
+    elif p == 3:
+        t0 = (0, 4, -4)[alpha % 3]
+        roots = [(0, 4)] if t0 == 0 else [(0, 1), (t0, 3)]
+    elif (alpha - 8) % p == 0:
+        t0, roots = p - 1, [(p - 1, 3), (3, 1)]
+    else:
+        t0, roots = 1, [(1, 3), (-3, 1)]
+    return PolyInt((-t0, 1)), [(PolyModP(p, (-r, 1)), e) for r, e in roots]

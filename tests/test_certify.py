@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 import sympy
@@ -26,19 +27,22 @@ from monodiv import (
     three_torsion_quartic,
     unit_norm_check,
 )
+from monodiv import arith
 from monodiv.arith import vp
 from monodiv.certify import (
     _certificate,
-    _closed_form,
+    _row,
     field_discriminant,
     is_irreducible_quartic,
     montes_certificate,
 )
 from monodiv.newton import IndexReport, index_report
 from monodiv.poly import factor_mod_p
-from references import count_real_roots, rational_roots, singular_T
+from references import closed_form, count_real_roots, rational_roots, singular_T
 
 certify_module = importlib.import_module("monodiv.certify")
+newton_module = importlib.import_module("monodiv.newton")
+poly_module = importlib.import_module("monodiv.poly")
 
 KNOWN_MONOGENIC = (2, 3, 5, 6, 7, 9, 11, 13, 14, 15, 18, 21, 22, 23, 25)
 
@@ -225,7 +229,7 @@ def test_closed_form_matches_factor_mod_p():
     for alpha in [a for a in range(-600, 601) if a not in (8, -8)] + large:
         f3 = three_torsion_quartic(alpha)
         for p in _visited_primes(alpha):
-            lift, factors = _closed_form(alpha, p)
+            lift, factors = closed_form(alpha, p)
             expected = factor_mod_p(f3.reduce_mod(p))
             assert sorted(factors, key=lambda t: (t[0].degree, t[0].coeffs)) == expected
             # the lift reduces to the repeated factor
@@ -240,7 +244,8 @@ def test_closed_form_matches_factor_mod_p():
 
 
 def test_dedekind_at_p_dividing_alpha_minus_8_is_the_hypothesis():
-    # Phi - (T + 1)^3 (T - 3) = -(alpha - 8) T; see the comment at _closed_form
+    # Phi - (T + 1)^3 (T - 3) = -(alpha - 8) T; see the comment at
+    # references.closed_form
     outcomes = []
     for alpha in range(-2000, 2001):
         if alpha in (8, -8):
@@ -248,30 +253,124 @@ def test_dedekind_at_p_dividing_alpha_minus_8_is_the_hypothesis():
         for p in factor(alpha - 8).primes():
             if p < 5:
                 continue
-            lift, factors = _closed_form(alpha, p)
+            lift, factors = closed_form(alpha, p)
             rep = index_report(three_torsion_quartic(alpha), p, lifts=[lift], factors=factors)
             assert rep.dedekind == (vp(alpha - 8, p) < 2), (alpha, p)
             outcomes.append(rep.dedekind)
     assert outcomes.count(False) > 50 and outcomes.count(True) > 1000
 
 
+def _row_cases(monkeypatch, alphas):
+    """(alpha, p, row, whether _row fell back to index_report, whether
+    alpha -+ 8 is squarefree) at every prime certify visits.  A fallback is
+    index_report(f3, p, lifts=[lift]) at the lift of closed_form."""
+    fallbacks = []
+
+    def recorded(*args, **kwargs):
+        fallbacks.append((args, kwargs))
+        return index_report(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "index_report", recorded)
+    for alpha in alphas:
+        fact_minus, fact_plus = factor(alpha - 8), factor(alpha + 8)
+        hypothesis = fact_minus.is_squarefree() and fact_plus.is_squarefree()
+        f3 = three_torsion_quartic(alpha)
+        for p in sorted({3} | set(fact_minus.primes() + fact_plus.primes())):
+            fallbacks.clear()
+            row = _row(f3, alpha, p)
+            lift, _ = closed_form(alpha, p)
+            assert fallbacks in ([], [((f3, p), {"lifts": [lift]})]), (alpha, p)
+            yield alpha, p, row, bool(fallbacks), hypothesis
+
+
+def test_row_matches_index_report_at_every_prime(monkeypatch):
+    # every row against the generic pass on the closed-form witness (which
+    # index_report checks), at every prime of every alpha != +-8 in
+    # [-3000, 3000], squarefree or not.  A fallback row is index_report
+    # without a witness, so there the two paths agree as well;
+    # test_closed_form_matches_factor_mod_p ties the witness to factor_mod_p,
+    # and the seeded samples compare every row with both paths.  Both
+    # comparisons on this whole range would take about 20 s.
+    branches = Counter()
+    alphas = [a for a in range(-3000, 3001) if a not in (8, -8)]
+    for alpha, p, row, fell_back, hypothesis in _row_cases(monkeypatch, alphas):
+        lift, factors = closed_form(alpha, p)
+        f3 = three_torsion_quartic(alpha)
+        assert row == index_report(f3, p, lifts=[lift], factors=factors), (alpha, p)
+        assert not (hypothesis and fell_back), (alpha, p)
+        if not hypothesis:
+            branches["fallback" if fell_back else "fast"] += 1
+    assert branches["fast"] > 1000 and branches["fallback"] > 1000
+
+
+def test_row_matches_index_report_on_seeded_large_alphas(monkeypatch):
+    rng = random.Random("row_differential")
+    alphas = [rng.randrange(-(10**6), 10**6 + 1) for _ in range(150)]
+    alphas += [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(200)]
+    alphas = [a for a in alphas if a not in (8, -8)]
+    branches = Counter()
+    for alpha, p, row, fell_back, hypothesis in _row_cases(monkeypatch, alphas):
+        lift, factors = closed_form(alpha, p)
+        f3 = three_torsion_quartic(alpha)
+        assert row == index_report(f3, p, lifts=[lift]), (alpha, p)
+        assert row == index_report(f3, p, lifts=[lift], factors=factors), (alpha, p)
+        assert not (hypothesis and fell_back), (alpha, p)
+        branches[hypothesis, fell_back] += 1
+    assert branches[True, False] > 1000 and branches[False, True] > 10
+
+
+def test_certify_runs_no_generic_pass_under_the_hypothesis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic pass called")
+
+    for module, name in (
+        (certify_module, "index_report"),
+        (newton_module, "index_report"),
+        (newton_module, "phi_development"),
+        (poly_module, "phi_development"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    rng = random.Random("no_generic_pass")
+    alphas = [*KNOWN_MONOGENIC, *(-a for a in KNOWN_MONOGENIC)]
+    alphas += [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(20)]
+    certs = [certify(alpha) for alpha in alphas]
+    assert all(cert.hypothesis_ok for cert in certs[: 2 * len(KNOWN_MONOGENIC)])
+    assert sum(len(cert.primes) for cert in certs if cert.hypothesis_ok) > 60
+
+
 def test_certify_proves_each_prime_once(monkeypatch):
-    # the primes come from arith.factor; index_report proves each one once,
-    # and nothing else in certify asks again
-    calls = []
+    # the primes come from arith.factor, which runs the probable-prime test
+    # on what trial division leaves above the square of its bound, once per
+    # prime; certify builds its rows without asking again, and nothing calls
+    # require_prime
+    tested, required, depth = [], [], [0]
+    is_probable_prime, factor_ = arith.is_probable_prime, certify_module.factor
+
+    def counted(n):
+        tested.append((n, depth[0] > 0))
+        return is_probable_prime(n)
+
+    def factoring(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return factor_(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(arith, "is_probable_prime", counted)
+    monkeypatch.setattr(certify_module, "factor", factoring)
     for name in ("monodiv.arith", "monodiv.newton", "monodiv.valuation"):
-        module = importlib.import_module(name)
-
-        def counted(p, _inner=module.require_prime):
-            calls.append(p)
-            return _inner(p)
-
-        monkeypatch.setattr(module, "require_prime", counted)
+        monkeypatch.setattr(importlib.import_module(name), "require_prime", required.append)
     rng = random.Random("prove_once")
     certs = [certify(rng.choice((-1, 1)) * rng.randrange(2**59, 2**61)) for _ in range(60)]
     rows = [row.p for cert in certs for row in cert.primes]
-    assert len(rows) > 100
-    assert sorted(calls) == sorted(rows)
+    counts = Counter(n for n, _ in tested)
+    large = [p for p in rows if p >= arith._TRIAL_BOUND**2]
+    assert len(rows) > 100 and len(large) > 20
+    assert all(inside for _, inside in tested)
+    assert all(counts[p] == 1 for p in large)
+    assert all(counts[p] <= 1 for p in rows)
+    assert required == []
 
 
 def test_certify_odd_alpha_has_no_p2_row():

@@ -180,6 +180,16 @@ def test_scan_json_golden_digest():
     )
 
 
+def test_scan_json_golden_digest_small_alphas():
+    # the rows certify builds in closed form, against those the generic
+    # index_report pass printed for the same window
+    code, out, _ = invoke("scan", "--min", "-3000", "--max", "3000", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d83f219a81146d8cc6fb2689788a1fa5f576b53f0caf25637409dc70f09f9dd"
+    )
+
+
 # sha256 of the text output for n = 1..25, concatenated in order of n, as the
 # Fraction recurrence printed it
 DIVISION_GOLDEN_DIGESTS = {
