@@ -63,6 +63,7 @@ from .poly import (
 from .reduction import (
     KodairaType,
     ReductionData,
+    classify,
     classify_odd,
     classify_two,
     reduction_table,

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Every subcommand supports --json; numeric output is always exact decimal
-strings (rationals as num/den), never floats.  Exit codes: 0 success,
-1 mathematical error, 2 usage error (argparse), 3 budget exhaustion.
+strings (rationals as num/den), never floats.  A handler returns its result
+twice, as JSON-ready data and as text, and `run` prints one of them: the only
+write to stdout.  Exit codes: 0 success, 1 mathematical error, 2 usage error
+(argparse, or malformed numeric input), 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -64,50 +66,34 @@ def _curve_from_args(args) -> elliptic.WeierstrassCurve:
     return elliptic.tate_curve(args.alpha, args.beta).weierstrass
 
 
-def _print_division_poly(dp: elliptic.DivisionPoly, as_json: bool) -> int:
-    if as_json:
-        print(_dump({"n": dp.n, "even_part": dp.even_part, "coefficients": dp.poly.to_text()}))
-    else:
-        print(dp.poly.to_text())
-    return 0
+def _division_poly(dp: elliptic.DivisionPoly):
+    text = dp.poly.to_text()
+    return {"n": dp.n, "even_part": dp.even_part, "coefficients": text}, text
 
 
-def _cmd_divpoly(args) -> int:
-    return _print_division_poly(elliptic.psi(_curve_from_args(args), args.n), args.json)
+def _cmd_divpoly(args):
+    return _division_poly(elliptic.psi(_curve_from_args(args), args.n))
 
 
-def _cmd_fueter(args) -> int:
-    curve = elliptic.tate_curve(args.alpha, args.beta)
-    return _print_division_poly(elliptic.fueter(curve, args.n), args.json)
+def _cmd_fueter(args):
+    return _division_poly(elliptic.fueter(elliptic.tate_curve(args.alpha, args.beta), args.n))
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     if args.prime is not None:
-        if args.prime == 2:
-            rows = [reduction.classify_two(args.alpha, args.beta)]
-        else:
-            rows = [reduction.classify_odd(args.alpha, args.beta, args.prime)]
+        rows = [reduction.classify(args.alpha, args.beta, args.prime)]
     else:
         rows = reduction.reduction_table(args.alpha, args.beta, budget_ms=args.budget_ms)
-    if args.json:
-        print(_dump([_reduction_row(r) for r in rows]))
-    else:
-        print("p      kodaira  f  c  case")
-        for r in rows:
-            f = "-" if r.f is None else str(r.f)
-            c = "-" if r.c is None else str(r.c)
-            print(f"{r.p:<6} {str(r.kodaira):<8} {f:<2} {c:<2} {r.case_tag}")
-    return 0
-
-
-def _reduction_row(r: reduction.ReductionData) -> dict:
-    return {
-        "p": r.p,
-        "kodaira": str(r.kodaira),
-        "f": r.f,
-        "c": r.c,
-        "case": r.case_tag,
-    }
+    data = [
+        {"p": r.p, "kodaira": str(r.kodaira), "f": r.f, "c": r.c, "case": r.case_tag}
+        for r in rows
+    ]
+    lines = ["p      kodaira  f  c  case"]
+    for r in data:
+        f = "-" if r["f"] is None else str(r["f"])
+        c = "-" if r["c"] is None else str(r["c"])
+        lines.append(f"{r['p']:<6} {r['kodaira']:<8} {f:<2} {c:<2} {r['case']}")
+    return data, "\n".join(lines)
 
 
 def _render_polygon(polygon: newton.NewtonPolygon) -> str:
@@ -134,156 +120,127 @@ def _render_polygon(polygon: newton.NewtonPolygon) -> str:
     return "\n".join(lines)
 
 
-def _cmd_newton(args) -> int:
+def _cmd_newton(args):
     Phi = poly.PolyInt.from_text(args.poly)
     phi = poly.PolyInt.from_text(args.phi)
-    dev = poly.phi_development(Phi, phi)
-    polygon = newton.build_polygon(dev, args.prime)
+    polygon = newton.build_polygon(poly.phi_development(Phi, phi), args.prime)
     ind = newton.ind_phi(polygon, phi.degree)
-    if args.json:
-        print(_dump(polygon.to_json_dict(ind=ind)))
-    else:
-        print(_render_polygon(polygon))
-        for side in polygon.sides:
-            print(
-                f"side ({side.x0},{side.y0})->({side.x1},{side.y1}) "
-                f"slope {side.slope} degree {side.degree}"
-            )
-        print(f"ind_phi = {ind}")
-    return 0
+    lines = [_render_polygon(polygon)]
+    for side in polygon.sides:
+        lines.append(
+            f"side ({side.x0},{side.y0})->({side.x1},{side.y1}) "
+            f"slope {side.slope} degree {side.degree}"
+        )
+    lines.append(f"ind_phi = {ind}")
+    return polygon.to_json_dict(ind=ind), "\n".join(lines)
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args):
     Phi = poly.PolyInt.from_text(args.poly)
     lifts = [poly.PolyInt.from_text(args.phi)] if args.phi else None
     report = newton.index_report(Phi, args.prime, lifts=lifts)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "p": report.p,
-                    "ind_p_lower_bound": report.ind_p_lower_bound,
-                    "exact": report.exact,
-                    "per_phi": [
-                        {
-                            "phi": r.phi.to_text(),
-                            "exponent": r.exponent,
-                            "a0_val": r.a0_val,
-                            "ind_phi": r.ind_phi,
-                            "regular": r.regular,
-                            "polygon": r.polygon.to_json_dict(),
-                        }
-                        for r in report.per_phi
-                    ],
-                }
-            )
+    data = {
+        "p": report.p,
+        "ind_p_lower_bound": report.ind_p_lower_bound,
+        "exact": report.exact,
+        "per_phi": [
+            {
+                "phi": r.phi.to_text(),
+                "exponent": r.exponent,
+                "a0_val": r.a0_val,
+                "ind_phi": r.ind_phi,
+                "regular": r.regular,
+                "polygon": r.polygon.to_json_dict(),
+            }
+            for r in report.per_phi
+        ],
+    }
+    lines = [
+        f"p = {report.p}: ind_p >= {report.ind_p_lower_bound}"
+        f" ({'exact' if report.exact else 'bound only'})"
+    ]
+    for r in report.per_phi:
+        lines.append(
+            f"  phi = {r.phi.to_text()} (e = {r.exponent}): "
+            f"ind_phi = {r.ind_phi}, regular = {r.regular}"
         )
-    else:
-        print(f"p = {report.p}: ind_p >= {report.ind_p_lower_bound}"
-              f" ({'exact' if report.exact else 'bound only'})")
-        for r in report.per_phi:
-            print(
-                f"  phi = {r.phi.to_text()} (e = {r.exponent}): "
-                f"ind_phi = {r.ind_phi}, regular = {r.regular}"
-            )
-    return 0
+    return data, "\n".join(lines)
 
 
-def _cmd_certify(args) -> int:
+class _BudgetVerdict(BudgetExceededError):
+    """certify's own budget verdict: its reason is the whole stderr line."""
+
+
+def _cmd_certify(args):
     cert = run_certify(args.alpha, budget_ms=args.budget_ms)
     if cert.reason and "budget" in cert.reason:
-        print(cert.reason, file=sys.stderr)
-        return 3
-    if args.json:
-        print(cert.to_json())
-    else:
-        _print_cert(cert)
-    return 0
-
-
-def _print_cert(cert) -> None:
-    print(f"alpha = {cert.alpha}: {cert.verdict}")
+        raise _BudgetVerdict(cert.reason)
+    lines = [f"alpha = {cert.alpha}: {cert.verdict}"]
     if cert.field_disc is not None:
-        print(f"  field discriminant = {cert.field_disc}")
+        lines.append(f"  field discriminant = {cert.field_disc}")
     for row in cert.primes:
-        print(
+        lines.append(
             f"  p = {row.p}: ind_p = {row.ind_p_lower_bound}"
             f" ({'exact' if row.exact else 'bound'}), dedekind maximal = {row.dedekind}"
         )
     if cert.reason:
-        print(f"  reason: {cert.reason}")
-    for note in cert.trust:
-        print(f"  trust: {note}")
+        lines.append(f"  reason: {cert.reason}")
+    lines += [f"  trust: {note}" for note in cert.trust]
+    return cert.to_json_dict(), "\n".join(lines)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     certs = run_scan(args.min, args.max, budget_ms=args.budget_ms)
-    if args.json:
-        print(_dump([c.to_json_dict() for c in certs]))
-    else:
-        for c in certs:
-            line = f"{c.alpha}: {c.verdict}"
-            if c.reason:
-                line += f" ({c.reason})"
-            print(line)
-        good = [c.alpha for c in certs if c.verdict == "monogenic"]
-        print("monogenic: " + ",".join(str(a) for a in good))
-    return 0
+    lines = [f"{c.alpha}: {c.verdict}" + (f" ({c.reason})" if c.reason else "") for c in certs]
+    good = [str(c.alpha) for c in certs if c.verdict == "monogenic"]
+    lines.append("monogenic: " + ",".join(good))
+    return [c.to_json_dict() for c in certs], "\n".join(lines)
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args):
     entries = survey_family(args.family, args.s, args.t, budget_ms=args.budget_ms)
-    if args.json:
-        print(
-            _dump(
-                [
-                    {
-                        "family": e.family,
-                        "s": e.s,
-                        "t": e.t,
-                        "poly": e.poly.to_text(),
-                        "predicted_disc": str(e.predicted_disc),
-                        "disc_ok": e.disc_ok,
-                        "squared_factor": str(e.squared_factor),
-                        "verdict": e.verdict,
-                    }
-                    for e in entries
-                ]
-            )
-        )
-    else:
-        for e in entries:
-            verdict = e.verdict if e.verdict is not None else "skipped"
-            ok = "ok" if e.disc_ok else "MISMATCH"
-            print(f"{e.family}({e.s},{e.t}): disc {ok}, montes {verdict}")
-    return 0
+    data = [
+        {
+            "family": e.family,
+            "s": e.s,
+            "t": e.t,
+            "poly": e.poly.to_text(),
+            "predicted_disc": str(e.predicted_disc),
+            "disc_ok": e.disc_ok,
+            "squared_factor": str(e.squared_factor),
+            "verdict": e.verdict,
+        }
+        for e in entries
+    ]
+    text = "\n".join(
+        f"{e.family}({e.s},{e.t}): disc {'ok' if e.disc_ok else 'MISMATCH'}, "
+        f"montes {'skipped' if e.verdict is None else e.verdict}"
+        for e in entries
+    )
+    return data, text
 
 
-def _cmd_valuation(args) -> int:
+def _cmd_valuation(args):
     curve = elliptic.tate_curve(args.alpha, args.beta)
     case = valuation.singular_case(curve, args.prime)
     pred_psi = valuation.predicted_valuation(case, args.n)
     pred_f = valuation.predicted_fueter_valuation(case, args.n)
     obs_psi = valuation.observed_psi_valuation(curve, case, args.n)
     obs_f = valuation.observed_fueter_valuation(curve, case, args.n)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "case": case.tag,
-                    "p": case.p,
-                    "v": case.v,
-                    "n": args.n,
-                    "psi": {"predicted": pred_psi, "observed": obs_psi},
-                    "fueter": {"predicted": pred_f, "observed": obs_f},
-                }
-            )
-        )
-    else:
-        print(f"case {case.tag} at p = {case.p} (v = {case.v}), n = {args.n}")
-        print(f"  psi:    predicted {pred_psi}, observed {obs_psi}")
-        print(f"  fueter: predicted {pred_f}, observed {obs_f}")
-    return 0
+    data = {
+        "case": case.tag,
+        "p": case.p,
+        "v": case.v,
+        "n": args.n,
+        "psi": {"predicted": pred_psi, "observed": obs_psi},
+        "fueter": {"predicted": pred_f, "observed": obs_f},
+    }
+    text = (
+        f"case {case.tag} at p = {case.p} (v = {case.v}), n = {args.n}\n"
+        f"  psi:    predicted {pred_psi}, observed {obs_psi}\n"
+        f"  fueter: predicted {pred_f}, observed {obs_f}"
+    )
+    return data, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,9 +327,10 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "scan" and args.min > args.max:
         parser.error(f"argument --max: {args.max} is below --min {args.min}")
     try:
-        return args.func(args)
+        data, text = args.func(args)
     except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
+        line = exc if isinstance(exc, _BudgetVerdict) else f"budget exhausted: {exc}"
+        print(line, file=sys.stderr)
         return 3
     except MonodivError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -381,6 +339,8 @@ def run(argv: list[str] | None = None) -> int:
         # malformed numeric input (bad coefficient lists, zero denominators)
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    print(_dump(data) if args.json else text)
+    return 0
 
 
 def main() -> None:

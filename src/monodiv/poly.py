@@ -312,7 +312,7 @@ def _squarefree_parts(f: PolyModP) -> list[tuple[PolyModP, int]]:
     out: list[tuple[PolyModP, int]] = []
     e = 1
     while f.degree > 0:
-        c = f.gcd(f.derivative())  # f itself when f' = 0
+        c: PolyModP = f.gcd(f.derivative())  # f itself when f' = 0
         w = f // c
         i = 1
         while w.degree > 0:
@@ -534,7 +534,7 @@ def _resultant_int(a, b) -> int:
             return s * mult * _exact_int_div(b[0] ** da, h ** (da - 1))
 
 
-def resultant(f, g) -> Fraction:
+def resultant(f: PolyInt | PolyRat, g: PolyInt | PolyRat) -> Fraction:
     """Resultant of two nonzero integer or rational polynomials (exact)."""
     if f.is_zero or g.is_zero:
         raise MathDomainError("resultant of the zero polynomial")
@@ -543,7 +543,7 @@ def resultant(f, g) -> Fraction:
     return Fraction(_resultant_int(F.coeffs, G.coeffs), df**g.degree * dg**f.degree)
 
 
-def discriminant(f) -> Fraction:
+def discriminant(f: PolyInt | PolyRat) -> Fraction:
     """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f) for nonconstant f; a
     rational f = F/den goes through its integral F: disc(F) / den^(2d-2)."""
     if f.is_zero or f.degree < 1:

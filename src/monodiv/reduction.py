@@ -3,7 +3,8 @@
 For odd bad primes the type is decided by which of beta, alpha - 8 beta,
 alpha + 8 beta the prime divides (`valuation.singular_case`; the cases are
 mutually exclusive for coprime parameters);
-p = 2 needs its own case analysis on v_2(alpha + 8 beta).  Conductor exponent
+p = 2 needs its own case analysis on v_2(alpha + 8 beta).  `classify` picks
+one of the two.  Conductor exponent
 f and component count c are reported only where the closed forms state them.
 """
 
@@ -127,19 +128,17 @@ def bad_primes(alpha: int, beta: int, budget_ms: int | None = None) -> list[int]
     return sorted(primes)
 
 
+def classify(alpha: int, beta: int, p: int) -> ReductionData:
+    """Reduction data at one bad prime: `classify_two` at 2, `classify_odd` else."""
+    return classify_two(alpha, beta) if p == 2 else classify_odd(alpha, beta, p)
+
+
 def reduction_table(
     alpha: int, beta: int, budget_ms: int | None = None
 ) -> list[ReductionData]:
     """Reduction data at every bad prime, ascending."""
-    out = []
-    for p in bad_primes(alpha, beta, budget_ms=budget_ms):
-        if p == 2:
-            data = classify_two(alpha, beta)
-            # v_2(a) = 8: nonsingular at 2 after the coordinate changes, so
-            # 2 divides Delta of the given model but is not a bad prime
-            if data.kodaira.kind == "good":
-                continue
-            out.append(data)
-        else:
-            out.append(classify_odd(alpha, beta, p))
-    return out
+    rows = [classify(alpha, beta, p) for p in bad_primes(alpha, beta, budget_ms=budget_ms)]
+    # only p = 2 can read "good" (v_2(a) = 8): nonsingular at 2 after the
+    # coordinate changes, so 2 divides Delta of the given model but is not a
+    # bad prime
+    return [r for r in rows if r.kodaira.kind != "good"]

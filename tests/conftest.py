@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,6 +10,17 @@ settings.register_profile("ci", deadline=None, derandomize=True, max_examples=60
 settings.load_profile("ci")
 
 _X = sympy.Symbol("x")
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def perfbench_patches():
+    """`PATCHES` of perfbench/spans.py: (module, attribute path, ...) rows
+    naming what the traced benchmark run wraps.  Executed from its source
+    text, so no bytecode cache is written."""
+    namespace = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+    return namespace["PATCHES"]
 
 
 def to_sympy(f):

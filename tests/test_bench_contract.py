@@ -4,22 +4,14 @@ functions by patching them by name, as listed in `perfbench/spans.py`
 traced run; this test catches it without running the benchmark."""
 
 import importlib
-from pathlib import Path
+
+from conftest import perfbench_patches
 
 import monodiv  # noqa: F401
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _patches():
-    # executed from its source text, so no bytecode cache is written
-    namespace = {"__name__": "perfbench_spans"}
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
-    return namespace["PATCHES"]
-
 
 def test_perfbench_patch_targets_resolve():
-    patches = _patches()
+    patches = perfbench_patches()
     assert patches
     for module_name, attr_path, *_ in patches:
         target = importlib.import_module(module_name)

@@ -426,3 +426,40 @@ def test_no_floats_in_json_outputs():
                     walk(v)
 
         walk(parsed)
+
+
+# every command the CLI documents, and the reduce/index/certify cases whose
+# rows or messages no golden above pins, each in text and in --json
+_SWEEP = [
+    ("certify", "--alpha", "2"),
+    ("scan", "--min", "-25", "--max", "25"),
+    ("fueter", "--alpha", "2", "--beta", "1", "--n", "3"),
+    ("divpoly", "--a-invariants", "0,0,0,1,0", "--n", "3"),
+    ("divpoly", "--a-invariants", "1,-1,0,3/2,-5", "--n", "4"),
+    ("newton", "--poly=-3,-2,-6,0,1", "--phi=-1,1", "--prime", "2"),
+    ("newton", "--poly=10,3,2,3,1", "--phi=1,0,1", "--prime", "3"),
+    ("index", "--poly=-3,-2,-6,0,1", "--prime", "3"),
+    ("index", "--poly=0,4,1", "--prime", "2", "--phi=2,1"),
+    ("index", "--poly=0,4,1", "--prime", "2", "--phi=1,1"),
+    ("valuation", "--alpha", "13", "--beta", "1", "--prime", "5", "--n", "3"),
+    ("valuation", "--alpha", "2", "--beta", "1", "--prime", "5", "--n", "4"),
+    ("survey", "--family", "B", "--s", "0:9", "--t", "0:9"),
+    ("survey", "--family", "A", "--s=-2:2", "--t", "1:2"),
+    ("survey", "--family", "C", "--s=-2:2", "--t", "1:2"),
+    *(
+        ("reduce", "--alpha", alpha, "--beta", beta, *prime)
+        for alpha, beta in (("2", "1"), ("9", "5"), ("248", "1"))
+        for prime in ((), ("--prime", "2"), ("--prime", "3"), ("--prime", "5"))
+    ),
+    *(("certify", "--alpha", alpha) for alpha in ("0", "12", str(2**61 + 7))),
+]
+
+
+def test_every_command_output_digest():
+    digest = hashlib.sha256()
+    for argv in _SWEEP:
+        for mode in ((), ("--json",)):
+            digest.update(repr((argv + mode, *invoke(*argv, *mode))).encode())
+    assert digest.hexdigest() == (
+        "63aa1edd9c08d04fe0b14bc3b8660b898c36807709fc712e88dfd999fdf7b9bd"
+    )

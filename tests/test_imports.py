@@ -8,18 +8,16 @@ traced benchmark run patches that name on the module (`PATCHES` in
 import ast
 from pathlib import Path
 
+from conftest import perfbench_patches
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "monodiv"
-SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _patched_names() -> set[tuple[str, str]]:
-    # executed from its source text, so no bytecode cache is written
-    namespace = {"__name__": "perfbench_spans"}
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
     return {
         (module.removeprefix("monodiv."), attr_path)
-        for module, attr_path, *_ in namespace["PATCHES"]
+        for module, attr_path, *_ in perfbench_patches()
         if "." not in attr_path
     }
 
@@ -120,10 +118,6 @@ class _Package:
         for base in self.bases.get(cls, ()):
             if base in self.bases:
                 yield from self.mro(base)
-
-    def definers(self, attr: str) -> list[str]:
-        """Every class that defines attr as a member or a field."""
-        return [c for c in self.bases if attr in self.members[c] or attr in self.fields[c]]
 
     def annotation(self, node) -> frozenset:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -272,9 +266,8 @@ def _reads(package: _Package, node, env: dict, cls: str | None = None, enclosing
     """(name, the classes whose member it reads or None for a plain name,
     ids of the enclosing definitions) of every loaded name and attribute
     under node.  An attribute read resolves to the class in the receiver's
-    method resolution order that defines it; a receiver of unknown type
-    resolves to the one class that defines the attribute, and to none when
-    several do."""
+    method resolution order that defines it, and to none when the
+    receiver's type is unknown."""
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield node.id, None, enclosing
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -283,9 +276,6 @@ def _reads(package: _Package, node, env: dict, cls: str | None = None, enclosing
             next((k for k in package.mro(c) if node.attr in package.members[k]), None)
             for c in receiver
         }
-        if not receiver:
-            definers = package.definers(node.attr)
-            owners = set(definers) if len(definers) == 1 else set()
         yield node.attr, owners, enclosing
     if isinstance(node, _DEFS):
         enclosing = (*enclosing, id(node))
