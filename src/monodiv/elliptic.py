@@ -10,7 +10,11 @@ psi_n on the integral model b_i' = u^i b_i, u the lcm of the denominators of
 a1..a6 (1 for Tate curves); psi_n is isobaric of weight w = n^2 - 1 (n^2 - 4
 for the even part), so coefficient j is c_j u^(2j) / u^w.  F_n is built in
 S = T/beta, where every base is integral, and coefficient j is g_j / beta^j.
-``psi_value``/``fueter_value`` run it on the base values at one point.
+``psi_value``/``fueter_value`` run it on integers at one point num/den (u^2 x,
+or S): each base B of formal degree d (4, 6 and 3; F_2^2 is padded with a zero
+top coefficient to degree 3) enters as den^d B(num/den).  Every term then has
+the formal degree deg of its index, (n^2 - 1)/2 or (n^2 - 4)/2, so the result
+is H_n / den^deg (over u^(2 deg) more for psi).
 
 Recurrence base cases and signs were cross-validated against the direct
 coordinate-change route (see tests); in particular the 4-torsion factor is
@@ -159,39 +163,68 @@ def _division_part(n: int, base3, base4, square, fueter_signs: bool):
     return P[n]
 
 
-def _psi_bases(curve: WeierstrassCurve, u: int = 1) -> tuple[tuple, ...]:
-    """Coefficients of psi_3, psi_4/psi_2 and psi_2^2 on the model b_i' = u^i b_i."""
-    b2, b4, b6, b8 = curve.b2 * u**2, curve.b4 * u**4, curve.b6 * u**6, curve.b8 * u**8
-    return (
+def _formal_degree(n: int) -> int:
+    """Degree of the n-th term of the recurrence: (n^2 - 1)/2 for odd n, and
+    (n^2 - 4)/2 for the even part.  psi_n is isobaric of weight twice this."""
+    return (n * n - (4 if n % 2 == 0 else 1)) // 2
+
+
+def _integral_psi_bases(curve: WeierstrassCurve) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """u, the lcm of the denominators of a1..a6, and the integer coefficients
+    of psi_3, psi_4/psi_2 and psi_2^2 on the integral model b_i' = u^i b_i
+    (integral: each monomial of b_i has weight i, and each u a_j is an integer)."""
+    u = math.lcm(*(c.denominator for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)))
+    b2, b4, b6, b8 = (
+        (b * u**i).numerator for b, i in ((curve.b2, 2), (curve.b4, 4), (curve.b6, 6), (curve.b8, 8))
+    )
+    return u, (
         (b8, 3 * b6, 3 * b4, b2, 3),
         (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2),
         (b6, 2 * b4, b2, 4),
     )
 
 
-def _fueter_bases(curve: TateNormalCurve) -> tuple[tuple, ...]:
-    """Integer coefficients of F_3, F_4/F_2 and F_2^2 in S = T/beta."""
+def _fueter_bases(curve: TateNormalCurve) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of F_3, F_4/F_2 and F_2^2 in S = T/beta; F_2^2 is
+    padded with a zero top coefficient to the formal degree 3 of psi_2^2."""
     a, b2 = curve.alpha, curve.beta**2
     return (
         (-3, -a, -6 * b2, 0, b2 * b2),
         (-2, -a, -10 * b2, 0, 10 * b2 * b2, a * b2 * b2, 2 * b2**3),
-        (4, a, 4 * b2),
+        (4, a, 4 * b2, 0),
     )
+
+
+def _homogeneous_values(bases, point: Fraction) -> list[int]:
+    """den^d B(num/den) for each base B, with point = num/den and d the
+    formal degree len(B) - 1, by Horner on c_j den^(d-j)."""
+    num, den = point.numerator, point.denominator
+    values = []
+    for coeffs in bases:
+        value, scale = 0, 1
+        for c in reversed(coeffs):
+            value = value * num + c * scale
+            scale *= den
+        values.append(value)
+    return values
 
 
 def psi(curve: WeierstrassCurve, n: int) -> DivisionPoly:
     """n-th division polynomial; even n returns the psi_2 cofactor."""
-    u = math.lcm(*(c.denominator for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)))
-    part = _division_part(n, *map(PolyInt, _psi_bases(curve, u)), fueter_signs=False)
-    uw = u ** (n * n - (4 if n % 2 == 0 else 1))
+    u, bases = _integral_psi_bases(curve)
+    part = _division_part(n, *map(PolyInt, bases), fueter_signs=False)
+    uw = u ** (2 * _formal_degree(n))
     poly = PolyRat(Fraction(c * u ** (2 * j), uw) for j, c in enumerate(part.coeffs))
     return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
 
 
 def psi_value(curve: WeierstrassCurve, n: int, x: Fraction | int) -> Fraction:
-    """psi(curve, n).poly(x), by the recurrence on the values of the bases at x."""
-    values = (PolyRat(c)(Fraction(x)) for c in _psi_bases(curve))
-    return _division_part(n, *values, fueter_signs=False)
+    """psi(curve, n).poly(x), by the recurrence on integers: the integral
+    model's part at u^2 x = num/den, times den^deg, over (den u^2)^deg."""
+    u, bases = _integral_psi_bases(curve)
+    x = Fraction(x) * (u * u)
+    value = _division_part(n, *_homogeneous_values(bases, x), fueter_signs=False)
+    return Fraction(value, (x.denominator * u * u) ** _formal_degree(n))
 
 
 def fueter(curve: TateNormalCurve, n: int) -> DivisionPoly:
@@ -202,9 +235,11 @@ def fueter(curve: TateNormalCurve, n: int) -> DivisionPoly:
 
 
 def fueter_value(curve: TateNormalCurve, n: int, T: Fraction | int) -> Fraction:
-    """fueter(curve, n).poly(T), by the recurrence on the values of the bases at T."""
-    values = (PolyRat(c)(Fraction(T) / curve.beta) for c in _fueter_bases(curve))
-    return _division_part(n, *values, fueter_signs=True)
+    """fueter(curve, n).poly(T), by the recurrence on integers: the part at
+    S = T/beta = num/den, times den^deg, over den^deg."""
+    S = Fraction(T) / curve.beta
+    value = _division_part(n, *_homogeneous_values(_fueter_bases(curve), S), fueter_signs=True)
+    return Fraction(value, S.denominator ** _formal_degree(n))
 
 
 def psi_fueter_identity_check(

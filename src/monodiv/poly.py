@@ -34,15 +34,27 @@ def _normalize(coeffs):
     return tuple(coeffs)
 
 
+def _integer(c) -> int:
+    """c as an int: an int, or a Fraction with denominator 1."""
+    if type(c) is int:
+        return c
+    if getattr(c, "denominator", None) == 1:
+        return int(c.numerator)
+    raise MathDomainError(f"{c!r} is not an integer")
+
+
 class _DensePoly:
     """Dense arithmetic shared by the polynomial rings below.
 
     A subclass supplies its coefficient ring: a normalizing constructor
-    behind ``_wrap``, ``_scalar`` (an integer as a coefficient), ``_inverse``
-    (of a divisor's leading coefficient) and ``_ring_key`` (the ring's
-    parameters, part of equality).  Over F_p, ``_quotient_mod`` is p, and
-    over F_p[x]/(phi) it is phi: division reduces each quotient coefficient,
-    evaluation each partial value, and the constructor everything else.
+    behind ``_wrap`` (PolyInt's skips it), ``_scalar`` (an integer as a
+    coefficient), ``_inverse`` (of a divisor's leading coefficient) and
+    ``_ring_key`` (the ring's parameters, part of equality).  Over F_p,
+    ``_quotient_mod`` is p, and over F_p[x]/(phi) it is phi: division reduces
+    each quotient coefficient, evaluation each partial value, and the
+    constructor everything else.
+    Arithmetic with a polynomial of another class raises TypeError, except
+    that PolyFq takes a PolyModP as a scalar.
     """
 
     __slots__ = ("coeffs",)
@@ -97,6 +109,8 @@ class _DensePoly:
         return self._wrap(-c for c in self.coeffs)
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -110,6 +124,8 @@ class _DensePoly:
 
     def __mul__(self, other):
         if type(other) is not type(self):
+            if isinstance(other, _DensePoly) and type(other) is not type(self._scalar(0)):
+                return NotImplemented
             return self._wrap(c * other for c in self.coeffs)
         if not self.coeffs or not other.coeffs:
             return self._wrap(())
@@ -150,6 +166,8 @@ class _DensePoly:
 
     def divrem(self, other):
         """Division with remainder; the divisor's leading coefficient must be a unit."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot divide a {type(self).__name__} by a {type(other).__name__}")
         b, m = other.coeffs, self._quotient_mod
         if not b:
             raise MathDomainError("division by the zero polynomial")
@@ -191,12 +209,29 @@ class _DensePoly:
 
 
 class PolyInt(_DensePoly):
-    """Polynomial over Z, ascending coefficients, trailing zeros stripped."""
+    """Polynomial over Z, ascending int coefficients, trailing zeros stripped.
+
+    The constructor and the scalar product take integral values only (an int
+    or a Fraction with denominator 1) and raise MathDomainError on any other.
+    Ring operations between PolyInts give ints, so ``_wrap`` takes them as
+    they are."""
 
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self.coeffs = _normalize(int(c) for c in coeffs)
+        self.coeffs = _normalize(map(_integer, coeffs))
+
+    def _wrap(self, coeffs) -> "PolyInt":
+        out = PolyInt.__new__(PolyInt)
+        out.coeffs = _normalize(coeffs)
+        return out
+
+    def __mul__(self, other):
+        if not isinstance(other, _DensePoly):
+            other = _integer(other)
+        return _DensePoly.__mul__(self, other)
+
+    __rmul__ = __mul__
 
     @classmethod
     def zero(cls) -> "PolyInt":
@@ -239,7 +274,7 @@ class PolyRat(_DensePoly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self.coeffs = _normalize(Fraction(c) for c in coeffs)
+        self.coeffs = _normalize(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     @classmethod
     def one(cls) -> "PolyRat":
@@ -257,7 +292,7 @@ class PolyRat(_DensePoly):
     def clear_denominators(self) -> tuple[PolyInt, int]:
         """Return (F, d) with self = F / d and F integral of the same degree."""
         d = math.lcm(*(c.denominator for c in self.coeffs))
-        return PolyInt(int(c * d) for c in self.coeffs), d
+        return PolyInt(c.numerator * (d // c.denominator) for c in self.coeffs), d
 
 
 class PolyModP(_DensePoly):

@@ -463,19 +463,46 @@ def _value_points(rng, count):
     return [x for x in points if x] + [Fraction(1), Fraction(-1)]
 
 
+# psi_value/fueter_value evaluate each base as den^d B(num/den) over Z.  These
+# points add x = 0, integral points, denominators above 2^64, and points whose
+# denominator shares a prime with the betas below (2, 5, 37).
+_VALUE_POINTS = [
+    *map(Fraction, (0, 12, -(2**70) - 1)),
+    Fraction(7, 8),
+    Fraction(40, 11),
+    Fraction(-3, 1600),
+    Fraction(2, 37),
+    Fraction(3, 2**64 + 13),
+    Fraction(2**65 + 3, 3**41),
+]
+
+
 def test_values_match_polynomials_at_random_points(rng):
-    curves = [tate_curve(*random_tate_params(rng)) for _ in range(3)] + [tate_curve(-1399, 40)]
+    # b2 = 0 for alpha = -12 beta; F_2^2 = 4 + 4 S^2, with a zero S term, for alpha = 0
+    curves = [tate_curve(*random_tate_params(rng)) for _ in range(3)]
+    curves += [tate_curve(a, b) for a, b in ((-1399, 40), (977, 37), (3, -10), (-12, 1), (0, 1))]
     for tc in curves:
         for n in range(1, 14):
             psi_poly, fueter_poly = psi(tc.weierstrass, n).poly, fueter(tc, n).poly
-            for x in _value_points(rng, 4):
+            for x in _value_points(rng, 4) + _VALUE_POINTS:
                 assert psi_value(tc.weierstrass, n, x) == psi_poly(x), (tc, n, x)
                 assert fueter_value(tc, n, x) == fueter_poly(x), (tc, n, x)
-    for _ in range(3):
-        w = random_rational_curve(rng)
-        for n in range(1, 12):
-            for x in _value_points(rng, 3):
-                assert psi_value(w, n, x) == psi(w, n).poly(x), (w, n, x)
+    # u > 1, also past n = 13; b2 = 0 with u = 1 and with u = 48
+    rational = [random_rational_curve(rng) for _ in range(3)] + [
+        WeierstrassCurve(0, 0, 1, -1, 0),
+        WeierstrassCurve(Fraction(1, 2), Fraction(-1, 16), Fraction(1, 3), 2, Fraction(-5, 4)),
+    ]
+    for w in rational:
+        for n in (*range(1, 12), 14, 15):
+            psi_poly = psi(w, n).poly
+            for x in _value_points(rng, 3) + _VALUE_POINTS:
+                assert psi_value(w, n, x) == psi_poly(x), (w, n, x)
+    # the CLI's largest n, on the Fueter side (psi_41 takes seconds to build)
+    tc = tate_curve(-7, 3)
+    for n in (40, 41):
+        fueter_poly = fueter(tc, n).poly
+        for T in (Fraction(0), Fraction(-2), Fraction(5, 9), Fraction(2**65 + 3, 7)):
+            assert fueter_value(tc, n, T) == fueter_poly(T), (n, T)
 
 
 def test_values_match_polynomials_at_singular_points():
@@ -501,3 +528,4 @@ def test_values_reject_nonpositive_n():
             psi_value(tate_curve(2, 1).weierstrass, n, 1)
         with pytest.raises(MathDomainError):
             fueter_value(tate_curve(2, 1), n, 1)
+

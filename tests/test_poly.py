@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from monodiv import (
     tate_curve,
 )
 from monodiv import poly as poly_module
-from conftest import to_sympy
+from conftest import sympy_poly, to_sympy
 from references import (
     count_real_roots,
     factor_mod_p_yun,
@@ -116,6 +117,37 @@ def test_equality_is_exact_in_type_and_ring():
         (PolyModP(5, (6, 2)), PolyModP(5, (1, -3))),
     ):
         assert a == b and hash(a) == hash(b)
+
+
+def test_polyint_takes_integral_values_only():
+    with pytest.raises(MathDomainError):
+        PolyInt((Fraction(3, 2),))
+    with pytest.raises(MathDomainError):
+        PolyInt((1, 2, 3)) * Fraction(1, 2)
+    with pytest.raises(MathDomainError):
+        Fraction(1, 2) * PolyInt((1, 2, 3))
+    with pytest.raises(MathDomainError):
+        PolyInt((1, "2"))
+    # an integral Fraction is accepted and stored as an int
+    for f, expected in (
+        (PolyInt((Fraction(6, 3), Fraction(-4), 5)), PolyInt((2, -4, 5))),
+        (PolyInt((1, 2, 3)) * Fraction(4, 2), PolyInt((2, 4, 6))),
+        (Fraction(-3) * PolyInt((1, 2)), PolyInt((-3, -6))),
+    ):
+        assert f == expected and all(type(c) is int for c in f.coeffs)
+
+
+def test_polyint_ring_operations_keep_int_coefficients():
+    f, g = PolyInt((3, -1, 0, 2)), PolyInt((-5, 1))
+    q, r = f.divrem(g)
+    for h in (f + g, f - g, -f, f * g, 3 * f, f**3, pow(f, 5, g), f.derivative(), q, r):
+        assert all(type(c) is int for c in h.coeffs), h
+    # arithmetic across rings raises TypeError, so no Fraction enters a PolyInt
+    rat, mod = PolyRat((Fraction(1, 2), 1)), PolyModP(5, (1, 2))
+    for a, b in ((f, rat), (rat, f), (f, mod), (mod, f), (rat, mod)):
+        for op in (operator.add, operator.sub, operator.mul, operator.mod, operator.floordiv, type(a).divrem):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 # --- phi-adic developments ---------------------------------------------------
@@ -319,6 +351,23 @@ def test_disc_multiplicativity(f, g):
     lhs = discriminant(fq * gq)
     rhs = discriminant(fq) * discriminant(gq) * resultant(fq, gq) ** 2
     assert lhs == rhs
+
+
+def test_clear_denominators_and_discriminant_on_large_mixed_denominators():
+    rng = random.Random(20261019)
+    dens = (1, 2**64 + 13, 3**40, 2**70, 10**25 + 9, 7 * 11 * 13 * 17 * 19 * 23, 2**61 - 1)
+    for k in range(200):
+        deg = rng.randint(1, 6 if k < 40 else 9)
+        coeffs = [Fraction(rng.randint(-(10**30), 10**30), rng.choice(dens) * rng.randint(1, 99)) for _ in range(deg)]
+        coeffs.append(Fraction(rng.choice((1, -1, 3)) * rng.randint(1, 10**20), rng.choice(dens)))
+        f = PolyRat(coeffs)
+        d = math.lcm(*(c.denominator for c in f.coeffs))
+        F, den = f.clear_denominators()
+        assert (F, den) == (PolyInt(int(c * d) for c in f.coeffs), d)
+        assert F.degree == f.degree and all(type(c) is int for c in F.coeffs)
+        if k < 40:  # sympy's discriminant is slow on the larger degrees
+            oracle = sympy_poly(f).discriminant()
+            assert discriminant(f) == Fraction(int(oracle.p), int(oracle.q)), f
 
 
 # --- differential test against the former PolyInt subresultant ---------------
