@@ -47,12 +47,12 @@ class _DensePoly:
     """Dense arithmetic shared by the polynomial rings below.
 
     A subclass supplies its coefficient ring: a normalizing constructor
-    behind ``_wrap`` (PolyInt's skips it), ``_scalar`` (an integer as a
-    coefficient), ``_inverse`` (of a divisor's leading coefficient) and
-    ``_ring_key`` (the ring's parameters, part of equality).  Over F_p,
-    ``_quotient_mod`` is p, and over F_p[x]/(phi) it is phi: division reduces
-    each quotient coefficient, evaluation each partial value, and the
-    constructor everything else.
+    behind ``_wrap`` (PolyInt's and PolyModP's skip its integer check),
+    ``_scalar`` (an integer as a coefficient), ``_inverse`` (of a divisor's
+    leading coefficient) and ``_ring_key`` (the ring's parameters, part of
+    equality).  Over F_p, ``_quotient_mod`` is p, and over F_p[x]/(phi) it is
+    phi: division reduces each quotient coefficient, evaluation each partial
+    value, and the constructor everything else.
     Arithmetic with a polynomial of another class raises TypeError, except
     that PolyFq takes a PolyModP as a scalar.
     """
@@ -208,6 +208,14 @@ class _DensePoly:
         return a.monic()
 
 
+def _integral_mul(self, other):
+    """Product for the rings over Z and F_p: with a polynomial, or with an
+    integral scalar as ``_integer`` takes it."""
+    if not isinstance(other, _DensePoly):
+        other = _integer(other)
+    return _DensePoly.__mul__(self, other)
+
+
 class PolyInt(_DensePoly):
     """Polynomial over Z, ascending int coefficients, trailing zeros stripped.
 
@@ -226,12 +234,7 @@ class PolyInt(_DensePoly):
         out.coeffs = _normalize(coeffs)
         return out
 
-    def __mul__(self, other):
-        if not isinstance(other, _DensePoly):
-            other = _integer(other)
-        return _DensePoly.__mul__(self, other)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _integral_mul
 
     @classmethod
     def zero(cls) -> "PolyInt":
@@ -296,16 +299,25 @@ class PolyRat(_DensePoly):
 
 
 class PolyModP(_DensePoly):
-    """Polynomial over F_p, coefficients reduced to [0, p)."""
+    """Polynomial over F_p, coefficients reduced to [0, p).
+
+    As for PolyInt, the constructor and the scalar product take integral
+    values only and raise MathDomainError on any other; ring operations
+    between PolyModPs give ints, so ``_wrap`` only reduces them mod p."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int, coeffs=()):
         self.p = p
-        self.coeffs = _normalize(int(c) % p for c in coeffs)
+        self.coeffs = _normalize(_integer(c) % p for c in coeffs)
 
     def _wrap(self, coeffs) -> "PolyModP":
-        return PolyModP(self.p, coeffs)
+        out = PolyModP.__new__(PolyModP)
+        out.p = p = self.p
+        out.coeffs = _normalize(c % p for c in coeffs)
+        return out
+
+    __mul__ = __rmul__ = _integral_mul
 
     def _ring_key(self) -> tuple:
         return (self.p,)
@@ -507,7 +519,8 @@ def phi_development(Phi: PolyInt, phi: PolyInt) -> PhiDevelopment:
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants (integer subresultant PRS)
+# resultants and discriminants (integer subresultant PRS, each member an
+# integer scalar times its primitive part)
 
 
 def _prem(a, b) -> list[int]:
@@ -537,7 +550,23 @@ def _exact_int_div(a: int, b: int) -> int:
 
 
 def _resultant_int(a, b) -> int:
-    """Res(a, b) over Z by the subresultant PRS, on coefficients as in ``_prem``."""
+    """Res(a, b) over Z by the subresultant PRS of Collins and Brown-Traub,
+    on coefficients as in ``_prem``, with each member kept factored.
+
+    After the input contents are split off into ``mult``, every member of the
+    chain is held as alpha * A: an integer scalar alpha times a primitive
+    integer list A.  The pseudo-remainder of alpha * A by beta * B is
+    beta^(delta+1) * alpha * prem(A, B), so ``_prem`` runs on the primitive
+    parts only, and prem(A, B) = c * R with c its content and R primitive.
+    The next member is that remainder divided by g * h^delta, which is
+    (beta^(delta+1) * alpha * c / (g * h^delta)) * R.
+
+    The division is checked on the scalar alone, and that is the same check
+    as dividing every coefficient: a rational s times a primitive R is
+    integral if and only if s is an integer, since a denominator d > 1 of s
+    in lowest terms would have to divide every coefficient of R, whose gcd
+    is 1.
+    """
     if not a or not b:
         return 0
     s = 1
@@ -550,7 +579,7 @@ def _resultant_int(a, b) -> int:
     ca, cb = math.gcd(*a), math.gcd(*b)
     a, b = [c // ca for c in a], [c // cb for c in b]
     mult = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    g = h = 1
+    alpha = beta = g = h = 1
     while True:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
@@ -559,14 +588,15 @@ def _resultant_int(a, b) -> int:
         r = _prem(a, b)
         if not r:
             return 0
-        a, q = b, g * h**delta
-        b = [_exact_int_div(c, q) for c in r]
-        g = a[-1]
+        c = math.gcd(*r)
+        scalar = _exact_int_div(beta ** (delta + 1) * alpha * c, g * h**delta)
+        a, alpha, b, beta = b, beta, [x // c for x in r], scalar
+        g = alpha * a[-1]
         if delta > 0:
             h = _exact_int_div(g**delta, h ** (delta - 1))
         if len(b) == 1:
             da = len(a) - 1
-            return s * mult * _exact_int_div(b[0] ** da, h ** (da - 1))
+            return s * mult * _exact_int_div((beta * b[0]) ** da, h ** (da - 1))
 
 
 def resultant(f: PolyInt | PolyRat, g: PolyInt | PolyRat) -> Fraction:

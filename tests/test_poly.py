@@ -137,6 +137,21 @@ def test_polyint_takes_integral_values_only():
         assert f == expected and all(type(c) is int for c in f.coeffs)
 
 
+def test_polymodp_takes_integral_values_only():
+    # 1/2 is 3 mod 5: truncating it to 0 would be a wrong residue, not an error
+    with pytest.raises(MathDomainError):
+        PolyModP(5, (Fraction(1, 2), 1))
+    with pytest.raises(MathDomainError):
+        PolyModP(5, (1, 2, 3)) * Fraction(1, 2)
+    with pytest.raises(MathDomainError):
+        Fraction(1, 2) * PolyModP(5, (1, 2, 3))
+    for f, expected in (
+        (PolyModP(5, (Fraction(12, 2), -1)), PolyModP(5, (1, 4))),
+        (PolyModP(5, (1, 2, 3)) * Fraction(4, 2), PolyModP(5, (2, 4, 1))),
+    ):
+        assert f == expected and all(type(c) is int for c in f.coeffs)
+
+
 def test_polyint_ring_operations_keep_int_coefficients():
     f, g = PolyInt((3, -1, 0, 2)), PolyInt((-5, 1))
     q, r = f.divrem(g)
@@ -436,6 +451,25 @@ def _check_against_reference(f, g):
         assert PolyInt(poly_module._prem(f.coeffs, g.coeffs)) == _reference_prem(f, g)
 
 
+def _chain_deltas(f, g):
+    """The degree drop delta = deg a - deg b of each step the subresultant
+    PRS of nonzero f, g runs, read off the primitive remainder sequence,
+    whose members have the same degrees."""
+    a, b = (f, g) if f.degree >= g.degree else (g, f)
+    deltas = []
+    while b.degree >= 1:
+        deltas.append(a.degree - b.degree)
+        r = _reference_prem(a, b)
+        if r.is_zero:
+            break
+        a, b = b, r.exact_scalar_div(math.gcd(*r.coeffs))
+    return deltas
+
+
+# composite contents up to 78 bits, put on the inputs or into a remainder
+CONTENTS = (2**64, 3**40, 2**20 * 3**12 * 5**7, 10007 * 10009, 6**30, -(7**11) * 11**9)
+
+
 def test_subresultant_matches_polyint_reference():
     rng = random.Random(20261018)
     for _ in range(400):
@@ -445,6 +479,26 @@ def test_subresultant_matches_polyint_reference():
         # shared factors and common content make the sequence end early
         h = PolyInt(rng.randint(-5, 5) for _ in range(rng.randint(1, 3)))
         _check_against_reference(f * h * 6, g * h * 4)
+        _check_against_reference(f * rng.choice(CONTENTS), g * rng.choice(CONTENTS))
+    # sparse inputs: zero subleading coefficients make a remainder drop two or
+    # more degrees, so a later step runs with delta >= 2
+    mid_chain_drops = 0
+    for _ in range(300):
+        f, g = (
+            PolyInt([rng.choice((0, 0, rng.randint(-20, 20))) for _ in range(deg)] + [rng.choice((1, -1, 2, -3))])
+            for deg in (rng.randint(3, 9), rng.randint(2, 7))
+        )
+        mid_chain_drops += any(delta >= 2 for delta in _chain_deltas(f, g)[1:])
+        _check_against_reference(f, g)
+    assert mid_chain_drops >= 10
+    # f = q g + k r: the first pseudo-remainder carries the composite content k
+    for _ in range(200):
+        g = PolyInt([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))] + [rng.choice((1, -2, 3))])
+        q = PolyInt(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
+        r = PolyInt(rng.randint(-9, 9) for _ in range(rng.randint(1, g.degree)))
+        f = q * g + r * rng.choice(CONTENTS)
+        _check_against_reference(f, g)
+        _check_against_reference(f * rng.choice(CONTENTS), g)
     for alpha in range(-40, 41):
         quartic = PolyInt((-3, -alpha, -6, 0, 1))
         _check_against_reference(quartic, quartic.derivative())
@@ -455,6 +509,31 @@ def test_subresultant_matches_polyint_reference():
             _check_against_reference(F, F.derivative())
         F, _ = psi(tc.weierstrass, 6).poly.clear_denominators()
         _check_against_reference(F, F.derivative())
+    # the longest chains: F_9 (degree 40) and psi_7 (degree 24) of a seeded curve
+    alpha, beta = 0, 0
+    while math.gcd(alpha, beta) != 1 or abs(alpha) == 8 * beta:
+        alpha, beta = rng.randint(-1500, 1500), rng.randint(1, 40)
+    tc = tate_curve(alpha, beta)
+    for division_poly in (fueter(tc, 9), psi(tc.weierstrass, 7)):
+        F, _ = division_poly.poly.clear_denominators()
+        _check_against_reference(F, F.derivative())
+
+
+def test_subresultant_exactness_guard_fires(monkeypatch):
+    """A remainder corrupted in one coefficient at the second step makes the
+    scalar's division by g h^delta inexact, and the chain says so."""
+    prem, calls = poly_module._prem, []
+
+    def corrupted_prem(a, b):
+        r = prem(a, b)
+        calls.append(len(r))
+        return [r[0] + 1] + r[1:] if len(calls) == 2 else r
+
+    monkeypatch.setattr(poly_module, "_prem", corrupted_prem)
+    f = PolyInt((1, 2, 0, 3, 5))
+    with pytest.raises(ArithmeticError, match="subresultant division was not exact"):
+        poly_module._resultant_int(f.coeffs, f.derivative().coeffs)
+    assert len(calls) == 2
 
 
 def _reference_discriminant(f):
