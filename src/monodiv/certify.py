@@ -9,8 +9,13 @@ must be exactly zero and Dedekind's criterion (`IndexReport.dedekind`) must
 hold.  `_row` builds that report from the T0-development of the quartic in
 closed form, with the proof in a comment, and falls back to the generic
 `index_report` pass only where that proof does not apply, which no alpha
-satisfying the hypothesis reaches.  `montes_certificate`, and with it the
-survey, runs the generic pass at every prime, as the `index` command does.
+satisfying the hypothesis reaches.  The closed-form row is written from the
+proof, not re-derived: the polygon is its one side with no hull built, the
+lift mod p and the residual are built from integers already reduced mod p,
+and `_row_json` writes a one-lift row as one dict.  The output is the same
+as the generic construction's, byte for byte.  `montes_certificate`, and with
+it the survey, runs the generic pass at every prime, as the `index` command
+does.
 
 The family's closed forms stand in for re-checks and for the curve analysis:
 the quartic has discriminant -27 (alpha - 8)^2 (alpha + 8)^2, which is never
@@ -38,12 +43,13 @@ from .errors import BudgetExceededError, MathDomainError
 # with those patches.
 from .newton import (  # noqa: F401
     IndexReport,
+    NewtonPolygon,
     PhiReport,
-    _polygon_from_values,
+    PolygonSide,
     dedekind_p_maximal,
     index_report,
 )
-from .poly import PolyFq, PolyInt, PolyModP, discriminant, resultant
+from .poly import PolyInt, _reduced_fq, _reduced_mod_p, discriminant, resultant
 from .reduction import reduction_table  # noqa: F401
 
 SCHEMA_VERSION = 1
@@ -130,21 +136,25 @@ class MonogenicityCertificate:
 
 def _row_json(report: IndexReport) -> dict:
     """The schema-v1 row of one prime; several lifts go under "phis"."""
-    phis = [
-        {
+    if len(report.per_phi) == 1:
+        r = report.per_phi[0]
+        return {
+            "p": report.p,
             "lift": r.phi.to_text(),
             "a0_val": r.a0_val,
             "polygon": r.polygon.to_json_dict(ind=r.ind_phi),
+            "ind_p": report.ind_p_lower_bound,
+            "exact": report.exact,
+            "dedekind": report.dedekind,
         }
+    phis = [
+        {"lift": r.phi.to_text(), "a0_val": r.a0_val, "polygon": r.polygon.to_json_dict(ind=r.ind_phi)}
         for r in report.per_phi
     ]
-    row: dict = {"p": report.p}
-    if len(phis) == 1:
-        row.update(phis[0])
-    else:
-        row.update(lift=None, a0_val=None, polygon=None, phis=phis)
-    row.update(ind_p=report.ind_p_lower_bound, exact=report.exact, dedekind=report.dedekind)
-    return row
+    return {
+        "p": report.p, "lift": None, "a0_val": None, "polygon": None, "phis": phis,
+        "ind_p": report.ind_p_lower_bound, "exact": report.exact, "dedekind": report.dedekind,
+    }
 
 
 def _certificate(
@@ -231,17 +241,15 @@ def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
     e = values.index(0)
     if values[0] != 1 or e < f3.degree - 1:
         return index_report(f3, p, lifts=[lift])
-    residual = PolyFq(lift.reduce_mod(p), [PolyModP(p, (a[0] // p,)), PolyModP(p, (a[e],))])
-    phi_report = PhiReport(
-        phi=lift,
-        exponent=e,
-        polygon=_polygon_from_values(values),
-        a0_val=1,
-        ind_phi=0,
-        regular=True,
-        residuals=(residual,),
+    # v_p(a0) = 1 and v_p(a_e) = 0, so both residual coefficients are units
+    # mod p, and the lift mod p is monic: each F_p object below is reduced
+    residual = _reduced_fq(
+        _reduced_mod_p(p, (-t0 % p, 1)),
+        (_reduced_mod_p(p, ((a[0] // p) % p,)), _reduced_mod_p(p, (a[e] % p,))),
     )
-    return IndexReport(p=p, per_phi=(phi_report,), ind_p_lower_bound=0, exact=True, dedekind=True)
+    polygon = NewtonPolygon(tuple(enumerate(values)), (PolygonSide(0, 1, e, 0, 1),))
+    phi_report = PhiReport(lift, e, polygon, 1, 0, True, (residual,))
+    return IndexReport(p, (phi_report,), 0, True, True)
 
 
 def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate:

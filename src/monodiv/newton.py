@@ -64,7 +64,7 @@ class NewtonPolygon:
 
     def to_json_dict(self, ind: int | None = None) -> dict:
         data = {
-            "points": [[j, v] for j, v in self.points],
+            "points": list(map(list, self.points)),
             "sides": [
                 {
                     "x0": s.x0,

@@ -349,6 +349,18 @@ class PolyModP(_DensePoly):
         return self.degree >= 1 and _distinct_degree(self.monic())[0][0] == self.degree
 
 
+def _reduced_mod_p(p: int, coeffs: tuple[int, ...]) -> PolyModP:
+    """The PolyModP with these coefficients, taken as they are.
+
+    Precondition, not checked: every coefficient is an int in [0, p) and the
+    top one is nonzero.  Call it only where a proof guarantees that; on any
+    other input, use PolyModP(p, coeffs)."""
+    out = PolyModP.__new__(PolyModP)
+    out.p = p
+    out.coeffs = coeffs
+    return out
+
+
 # ---------------------------------------------------------------------------
 # factorization over F_p (squarefree / distinct-degree / Cantor-Zassenhaus)
 
@@ -490,6 +502,20 @@ class PolyFq(_DensePoly):
             raise MathDomainError("separability of a constant is undefined")
         # a linear polynomial's derivative is its nonzero leading coefficient
         return self.degree == 1 or self.gcd(self.derivative()).degree == 0
+
+
+def _reduced_fq(modulus: PolyModP, coeffs: tuple[PolyModP, ...]) -> PolyFq:
+    """The PolyFq over F_p[x]/(modulus) with these coefficients, taken as
+    they are.
+
+    Precondition, not checked: every coefficient is a PolyModP over the
+    modulus's p, each of its own coefficients in [0, p), of degree below
+    deg(modulus), and the top one is nonzero.  Call it only where a proof
+    guarantees that; on any other input, use PolyFq(modulus, coeffs)."""
+    out = PolyFq.__new__(PolyFq)
+    out.modulus = modulus
+    out.coeffs = coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------

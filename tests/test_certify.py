@@ -37,7 +37,7 @@ from monodiv.certify import (
     montes_certificate,
 )
 from monodiv.newton import IndexReport, index_report
-from monodiv.poly import factor_mod_p
+from monodiv.poly import PolyFq, PolyModP, factor_mod_p, phi_development
 from references import closed_form, count_real_roots, rational_roots, singular_T
 
 certify_module = importlib.import_module("monodiv.certify")
@@ -263,24 +263,59 @@ def test_dedekind_at_p_dividing_alpha_minus_8_is_the_hypothesis():
 def _row_cases(monkeypatch, alphas):
     """(alpha, p, row, whether _row fell back to index_report, whether
     alpha -+ 8 is squarefree) at every prime certify visits.  A fallback is
-    index_report(f3, p, lifts=[lift]) at the lift of closed_form."""
-    fallbacks = []
+    index_report(f3, p, lifts=[lift]) at the lift of closed_form; every other
+    row passes `_check_closed_form_row`."""
+    fallbacks, trusted = [], []
 
     def recorded(*args, **kwargs):
         fallbacks.append((args, kwargs))
         return index_report(*args, **kwargs)
 
+    def recording(make):
+        def made(*args):
+            trusted.append(make(*args))
+            return trusted[-1]
+
+        return made
+
     monkeypatch.setattr(certify_module, "index_report", recorded)
+    for name in ("_reduced_mod_p", "_reduced_fq"):
+        monkeypatch.setattr(certify_module, name, recording(getattr(poly_module, name)))
     for alpha in alphas:
         fact_minus, fact_plus = factor(alpha - 8), factor(alpha + 8)
         hypothesis = fact_minus.is_squarefree() and fact_plus.is_squarefree()
         f3 = three_torsion_quartic(alpha)
         for p in sorted({3} | set(fact_minus.primes() + fact_plus.primes())):
             fallbacks.clear()
+            trusted.clear()
             row = _row(f3, alpha, p)
             lift, _ = closed_form(alpha, p)
             assert fallbacks in ([], [((f3, p), {"lifts": [lift]})]), (alpha, p)
+            if fallbacks:
+                assert trusted == [], (alpha, p)
+            else:
+                _check_closed_form_row(f3, p, row, trusted)
             yield alpha, p, row, bool(fallbacks), hypothesis
+
+
+def _check_closed_form_row(f3, p, row, trusted):
+    """A closed-form row against the slow path it replaces: its polygon is
+    the hull of its own points, and each F_p object it built with a trusting
+    constructor of poly has the coefficients that PolyModP and PolyFq give
+    from the unreduced integers of the development at the lift."""
+    (r,) = row.per_phi
+    (residual,) = r.residuals
+    points = r.polygon.points
+    assert r.polygon == newton_module._polygon_from_values([v for _, v in points])
+    assert [j for j, _ in points] == list(range(f3.degree + 1))
+    a = [t.coeffs[0] if t.coeffs else 0 for t in phi_development(f3, r.phi).terms]
+    expected = PolyFq(
+        PolyModP(p, r.phi.coeffs), [PolyModP(p, (a[0] // p,)), PolyModP(p, (a[r.exponent],))]
+    )
+    assert residual.modulus.coeffs == expected.modulus.coeffs
+    assert [c.coeffs for c in residual.coeffs] == [c.coeffs for c in expected.coeffs]
+    # the four objects above are all that went through the trusting constructors
+    assert sorted(map(id, trusted)) == sorted(map(id, (residual, residual.modulus, *residual.coeffs)))
 
 
 def test_row_matches_index_report_at_every_prime(monkeypatch):
@@ -330,6 +365,10 @@ def test_certify_runs_no_generic_pass_under_the_hypothesis(monkeypatch):
         (poly_module, "phi_development"),
     ):
         monkeypatch.setattr(module, name, refuse)
+    # nor a hull: certify writes the polygon of its proof, and calls
+    # _polygon_from_values neither through newton nor through its own import
+    monkeypatch.setattr(newton_module, "_polygon_from_values", refuse)
+    monkeypatch.setattr(certify_module, "_polygon_from_values", refuse, raising=False)
     rng = random.Random("no_generic_pass")
     alphas = [*KNOWN_MONOGENIC, *(-a for a in KNOWN_MONOGENIC)]
     alphas += [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(20)]

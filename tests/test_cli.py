@@ -5,6 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from monodiv import cli
+from monodiv.certify import MonogenicityCertificate
 from monodiv.cli import run
 
 CERTIFY2_GOLDEN = (
@@ -372,6 +374,18 @@ def test_certify_budget_exit_code():
     code, out, err = invoke("certify", "--alpha", str(alpha), "--budget-ms", "1")
     assert (code, out) == (3, "")
     assert err.startswith("factorization budget exceeded: ")
+
+
+def test_certify_exit_code_does_not_read_the_reason_text(monkeypatch):
+    # a not_certified certificate whose hypothesis holds is a verdict, not a
+    # budget exhaustion, whatever words its reason uses
+    cert = MonogenicityCertificate(
+        2, "not_certified", True, primes=(), reason="p = 5: a reason that mentions the budget"
+    )
+    monkeypatch.setattr(cli, "run_certify", lambda alpha, budget_ms=None: cert)
+    code, out, err = invoke("certify", "--alpha", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("alpha = 2: not_certified\n")
 
 
 def test_reduce_at_two_text_row():
