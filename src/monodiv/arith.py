@@ -1,14 +1,16 @@
 """Exact integer utilities: valuations, factorization, squarefree tests, symbols.
 
-``factor`` trial-divides by the primes below 2^16 and splits what is left
-with Brent's rho (Brent, BIT 20, 1980), which finds factors of a 60-bit
-cofactor much sooner than trial division to a larger bound would.  Trial
-division walks blocks of consecutive primes and divides by a block's primes
-only when n shares a factor with their product (Bernstein, "How to find
-smooth parts of integers", 2004): one gcd clears a block that divides nothing.
+``factor`` trial-divides by the 564 primes below 2^12 and splits what is left
+with Brent's rho (Brent, BIT 20, 1980), which finds a prime factor between
+2^12 and 2^16 in a few hundred steps, sooner than a longer trial walk would.
+Trial division walks blocks of consecutive primes and divides by a block's
+primes only when n shares a factor with their product (Bernstein, "How to
+find smooth parts of integers", 2004): one gcd clears a block that divides
+nothing.  Rho multiplies two steps into its product per reduction mod n.
 Everything is deterministic for a fixed input.  Primality is a strong
-probable-prime test to a fixed base set; below DETERMINISTIC_BOUND that test
-is known to be exact, above it a "prime" verdict is only probable and
+probable-prime test to the first k prime bases, k read off the proven
+strong-pseudoprime bounds psi_k; below DETERMINISTIC_BOUND the test is
+labelled exact, above it a "prime" verdict counts as probable and
 factorizations record the caveat in ``Factorization.probable``.
 """
 
@@ -22,15 +24,27 @@ from itertools import count
 
 from .errors import BudgetExceededError, InfiniteValuationError, MathDomainError
 
-# First twelve primes as SPRP bases.  The first seven already make the test
-# deterministic below psi_7 = 341550071728321 (Jaeschke, Math. Comp. 61,
-# 1993), so below the certified-trust threshold, which stays under psi_7,
-# only those seven run.
+# First twelve primes as SPRP bases.  (psi_k, k): psi_k is the least odd
+# composite that passes the first k of them (OEIS A014233), so below psi_k
+# those k bases decide primality exactly.  psi_1..psi_4: Pomerance,
+# Selfridge and Wagstaff, Math. Comp. 35, 1980; psi_5..psi_7: Jaeschke,
+# Math. Comp. 61, 1993; psi_9: Jiang and Deng, Math. Comp. 83, 2014.  psi_8
+# equals psi_7, so the table steps from seven bases to nine.  At psi_9 and
+# above all twelve run.
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 DETERMINISTIC_BOUND = 330_000_000_000_000
-_DETERMINISTIC_BASES = _SPRP_BASES[:7]
 
-_TRIAL_BOUND = 2**16
+_TRIAL_BOUND = 2**12
 _BLOCK_SIZE = 64
 _small_primes: list[int] | None = None
 # (first prime squared, product of the block, index of its first prime),
@@ -60,7 +74,7 @@ def vp_fraction(q: Fraction | int, p: int) -> int:
 
 
 def small_primes() -> list[int]:
-    """Primes below 2^16, sieved once and cached together with the blocks
+    """Primes below 2^12, sieved once and cached together with the blocks
     of _BLOCK_SIZE consecutive primes that ``factor`` walks."""
     global _small_primes
     if _small_primes is None:
@@ -79,7 +93,9 @@ def small_primes() -> list[int]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Strong probable-prime test to the fixed bases (exact below 3.3e14)."""
+    """Strong probable-prime test to the first k of the twelve bases, k the
+    least with n < psi_k in ``_PSI``, so the verdict is exact below psi_9
+    (about 3.8e18); at psi_9 and above all twelve bases run."""
     if n < 2:
         return False
     for p in _SPRP_BASES:
@@ -90,7 +106,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _DETERMINISTIC_BASES if n < DETERMINISTIC_BOUND else _SPRP_BASES:
+    for a in next((_SPRP_BASES[:k] for psi, k in _PSI if n < psi), _SPRP_BASES):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -140,9 +156,14 @@ def _integer_nth_root(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """Return (b, k) with b**k == n and k > 1, or None."""
+    """Return (b, k) with b**k == n and k > 1, or None.
+
+    n must have no prime factor below _TRIAL_BOUND, as every number on
+    ``factor``'s stack has none.  A root b is then at least the bound, so
+    only the prime exponents k with _TRIAL_BOUND**k <= n are tried.
+    """
     for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        if 1 << k > n:
+        if _TRIAL_BOUND**k > n:
             break
         b = _integer_nth_root(n, k)
         if b**k == n:
@@ -169,7 +190,13 @@ def _brent_rho(n: int, deadline: float | None) -> int:
             while k < r and g == 1:
                 _check_deadline(deadline, n)
                 ys = y
-                for _ in range(min(128, r - k)):
+                # two steps per reduction of q: the same residue at every gcd
+                m = min(128, r - k)
+                for _ in range(m // 2):
+                    y1 = (y * y + c) % n
+                    y = (y1 * y1 + c) % n
+                    q = q * (x - y1) * (x - y) % n
+                if m % 2:
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
@@ -207,11 +234,14 @@ class Factorization:
 def factor(x: int, budget_ms: int | None = None) -> Factorization:
     """Complete factorization of a nonzero integer.
 
-    Trial division below 2^16, which divides only by the blocks of primes
-    whose product shares a factor with n, then deterministic Brent rho
-    splitting with probable-prime certification of the cofactors.  Only rho
-    reads the budget, so ``budget_ms=0`` still returns whenever no rho work
-    remains.  Raises BudgetExceededError rather than returning a partial answer.
+    Trial division below 2^12, which divides only by the blocks of primes
+    whose product shares a factor with n; a cofactor left below 2^24 is then
+    prime.  A larger one goes to deterministic Brent rho splitting with
+    probable-prime certification of the parts.  Only rho reads the budget,
+    so ``budget_ms=0`` still returns whenever no rho work remains:
+    ``factor(4093 * 4099, budget_ms=0)`` returns, while 4099 * 4111, a
+    composite above 2^24, needs rho and raises.  Raises BudgetExceededError
+    rather than returning a partial answer.
     """
     if x == 0:
         raise ValueError("cannot factor 0")

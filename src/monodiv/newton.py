@@ -54,6 +54,14 @@ class PolygonSide:
         return Fraction(self.y1 - self.y0, self.x1 - self.x0)
 
 
+def _slope_text(side: PolygonSide) -> str:
+    """``str(side.slope)`` from the side's integers, with no Fraction: the
+    degree is gcd(y0 - y1, x1 - x0), so dividing by it reduces the slope."""
+    num = (side.y1 - side.y0) // side.degree
+    den = (side.x1 - side.x0) // side.degree
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Development points (v = None marks infinite valuation) and the
@@ -71,7 +79,7 @@ class NewtonPolygon:
                     "y0": s.y0,
                     "x1": s.x1,
                     "y1": s.y1,
-                    "slope": str(s.slope),
+                    "slope": _slope_text(s),
                     "degree": s.degree,
                 }
                 for s in self.sides

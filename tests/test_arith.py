@@ -106,8 +106,12 @@ def test_probable_prime_agrees_with_sieve():
         assert is_probable_prime(n) == (n in primes)
 
 
-# Jaeschke's least strong pseudoprimes to the first k prime bases, k = 1..7
+# the least strong pseudoprimes to the first k prime bases, k = 1..7
+# (Pomerance-Selfridge-Wagstaff; Jaeschke), psi_9 (Jiang-Deng) and psi_12
+# (Sorenson-Webster), OEIS A014233
 _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321)
+_PSI9 = 3825123056546413051
+_PSI12 = 318665857834031151167461
 
 
 def _is_sprp(n, a):
@@ -130,7 +134,7 @@ def test_seven_bases_decide_below_the_bound():
     psi6, psi7 = _PSI[5], _PSI[6]
     assert all(_is_sprp(psi6, a) for a in (2, 3, 5, 7, 11, 13)) and not _is_sprp(psi6, 17)
     assert psi6 < DETERMINISTIC_BOUND and not is_probable_prime(psi6)
-    # psi_7 passes the seven bases; it lies above the bound, where all twelve run
+    # psi_7 passes the seven bases; it lies above the bound, where nine run
     assert all(_is_sprp(psi7, a) for a in (2, 3, 5, 7, 11, 13, 17))
     assert psi7 > DETERMINISTIC_BOUND and not is_probable_prime(psi7)
     rng = random.Random(20261020)
@@ -142,6 +146,56 @@ def test_seven_bases_decide_below_the_bound():
     verdicts = [is_probable_prime(n) for n in corpus]
     assert verdicts == [_twelve_base_verdict(n) for n in corpus]
     assert verdicts.count(True) > 100
+
+
+def test_psi_table_entries_pass_their_bases_and_are_rejected():
+    # psi_k passes the first k bases, which is why the table must switch to
+    # more bases at n = psi_k and not after it
+    assert arith._PSI == tuple(zip(_PSI, range(1, 8))) + ((_PSI9, 9),)
+    for psi, k in arith._PSI:
+        assert all(_is_sprp(psi, a) for a in arith._SPRP_BASES[:k]), psi
+        assert not is_probable_prime(psi) and not sympy.isprime(psi), psi
+
+
+def _strong_base_2_pseudoprimes(bound):
+    return [n for n in range(3, bound, 2) if _is_sprp(n, 2) and not sympy.isprime(n)]
+
+
+# the Carmichael numbers below 10^5, each checked against Korselt's criterion
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+               52633, 62745, 63973, 75361)
+
+
+def test_prefix_bases_agree_with_twelve_bases_and_sympy():
+    pseudoprimes = _strong_base_2_pseudoprimes(10**5)
+    assert len(pseudoprimes) == 16 and pseudoprimes[0] == 2047
+    for n in _CARMICHAEL:
+        fac = sympy.factorint(n)
+        assert len(fac) >= 3 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fac.items())
+    rng = random.Random("psi-table")
+    bounds = (2, *_PSI, _PSI9, _PSI12)
+    corpus = pseudoprimes + list(_CARMICHAEL)
+    for low, high in zip(bounds, bounds[1:]):
+        corpus += [rng.randrange(low, high) | 1 for _ in range(300)]
+        corpus += [int(sympy.nextprime(rng.randrange(low, high))) for _ in range(40)]
+        # semiprimes (k + 1)(2k + 1), a common pseudoprime shape
+        ks = (rng.randrange(math.isqrt(low // 2), math.isqrt(high // 2) + 1) for _ in range(40))
+        corpus += [n for n in ((k + 1) * (2 * k + 1) for k in ks) if low <= n < high]
+    for psi in _PSI + (_PSI9,):
+        corpus += range(psi - 50, psi + 51)
+    corpus = [n for n in corpus if n < _PSI12]
+    verdicts = [is_probable_prime(n) for n in corpus]
+    assert verdicts == [_twelve_base_verdict(n) for n in corpus]
+    assert verdicts == [sympy.isprime(n) for n in corpus]
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 3000
+
+
+def test_factor_reports_psi12_as_one_probable_prime():
+    # psi_12 is composite but passes all twelve bases, so it stays a probable
+    # prime, and on the trust list
+    assert not sympy.isprime(_PSI12) and _twelve_base_verdict(_PSI12)
+    f = factor(_PSI12)
+    assert f.factors == ((_PSI12, 1),) and f.probable == (_PSI12,)
 
 
 def test_divisors():
@@ -176,7 +230,7 @@ def _reference_factor(
     x: int, primes: list[int], bound: int = _REFERENCE_BOUND
 ) -> tuple[tuple, tuple]:
     """The former ``factor``, frozen here: trial division by each prime below
-    ``bound`` in turn (one million, or 2^16 as ``factor`` had it), then rho."""
+    ``bound`` in turn (one million, or ``factor``'s trial bound), then rho."""
     n = abs(x)
     found: dict[int, int] = {}
     for p in primes:
@@ -206,6 +260,12 @@ def _reference_factor(
     return tuple(sorted(found.items())), tuple(sorted(probable))
 
 
+def _first_middle_last_blocks() -> tuple[int, int, int]:
+    """Index of the first prime of the first, a middle and the last block."""
+    last = (len(small_primes()) - 1) // _BLOCK_SIZE
+    return 0, last // 2 * _BLOCK_SIZE, last * _BLOCK_SIZE
+
+
 def _factor_corpus() -> list[int]:
     rng = random.Random("factor-differential")
     out = []
@@ -233,11 +293,26 @@ def _factor_corpus() -> list[int]:
         999983**2,
         6 * (2**61 - 1),
     ]
+    # either side of the trial bound 2^12: 4093 is the last prime below it
+    # and 4099 the first above, so 4093 * 4099 and 4093^2 need no rho, the
+    # others rho or _perfect_power; then products of 2 to 4 primes in
+    # (2^12, 2^16)
+    out += [4093 * 4099, 4093**2, 4099**2, 4099**3, 4099**2 * 4111, 4099 * 4111, 2 * 4099 * 4111]
+    between = [q for q in range(4097, 2**16, 2) if sympy.isprime(q)]
+    for _ in range(40):
+        n = math.prod(rng.sample(between, rng.randint(2, 4)))
+        out += [n, n * rng.choice((1, 3, 4093))]
+    # primes and products near 2^24 (the square of the bound) and near psi_4
+    for centre in (2**24, _PSI[3]):
+        out += [int(sympy.prevprime(centre)), int(sympy.nextprime(centre))]
+        out += [centre - 1, centre + 1, centre + 3]
+    out += [4091 * 4099, 3 * 4093 * 4099, 4099 * int(sympy.nextprime(_PSI[3] // 4099))]
     out += [rng.randrange(2, 2**70) for _ in range(40)]
     # the blocked trial division: primes on either side of three block
     # boundaries, squared and multiplied together
     primes = small_primes()
-    for start in (_BLOCK_SIZE, 50 * _BLOCK_SIZE, (len(primes) - 1) // _BLOCK_SIZE * _BLOCK_SIZE):
+    _, middle, final = _first_middle_last_blocks()
+    for start in (_BLOCK_SIZE, middle, final):
         last, first = primes[start - 1], primes[start]
         out += [last**2, first**2, last * first, 2 * last * first, last * first * above16]
     # prime factors from five to eight different blocks, some repeated
@@ -250,7 +325,7 @@ def _factor_corpus() -> list[int]:
         out += [n, n * rng.randrange(2**20, 2**40)]
     # a cofactor that falls below p^2 in the middle of a block: q early in a
     # block times a prime r just above the next prime after q
-    for start in (_BLOCK_SIZE, 40 * _BLOCK_SIZE, 90 * _BLOCK_SIZE):
+    for start in (_BLOCK_SIZE, middle, final):
         q, nxt = primes[start + 5], primes[start + 6]
         r = next(m for m in range(nxt + 2, nxt * nxt) if is_probable_prime(m))
         out += [q * r, q * q * r, 2 * q * r]
@@ -282,14 +357,15 @@ def test_factor_matches_trial_division_to_one_million_and_sympy():
 
 def test_blocked_trial_division_matches_the_per_prime_loop_on_large_alphas():
     # 1000 values alpha -+ 8 with 59 to 61 bits, against the per-prime loop
-    # that the blocks replaced (same primes below 2^16, same cofactor rule)
+    # that the blocks replaced (same primes below the trial bound, same
+    # cofactor rule)
     primes = small_primes()
     corpus = _large_alpha_corpus()
     assert {abs(n).bit_length() for n in corpus} == {59, 60, 61}
     for n in corpus:
         got = factor(n)
         assert (got.sign, got.factors, got.probable) == (
-            (-1 if n < 0 else 1, *_reference_factor(n, primes, 2**16))
+            (-1 if n < 0 else 1, *_reference_factor(n, primes, arith._TRIAL_BOUND))
         ), n
 
 
@@ -310,7 +386,7 @@ def test_trial_division_stops_where_the_cofactor_falls_below_p_squared(monkeypat
     primes = small_primes()
     tried = _TriedPrimes(primes)
     monkeypatch.setattr(arith, "_small_primes", tried)
-    for start in (0, _BLOCK_SIZE, 40 * _BLOCK_SIZE):
+    for start in _first_middle_last_blocks():
         q, nxt = primes[start + 5], primes[start + 6]
         r = next(m for m in range(nxt + 2, nxt * nxt) if is_probable_prime(m))
         tried.tried.clear()
@@ -340,6 +416,26 @@ def test_rho_honours_the_deadline_between_batches():
         factor(n, budget_ms=0)
     assert factor(360, budget_ms=0).factors == ((2, 3), (3, 2), (5, 1))
     assert factor(6 * (2**61 - 1), budget_ms=0).probable == (2**61 - 1,)
+
+
+def test_zero_budget_boundary_at_the_trial_bound():
+    # 4093 is the last prime below the trial bound 2^12: 4093 * 4099 leaves
+    # the prime 4099, which needs no rho.  4099 * 4111 is a composite
+    # cofactor above 2^24, so rho runs and finds no budget left.
+    assert factor(4093 * 4099, budget_ms=0).factors == ((4093, 1), (4099, 1))
+    with pytest.raises(BudgetExceededError):
+        factor(4099 * 4111, budget_ms=0)
+
+
+def test_perfect_power_finds_roots_just_above_the_trial_bound():
+    # on factor's stack no prime factor lies below the bound, so a root b is
+    # at least the bound and only exponents with bound**k <= n are tried
+    for b in (4099, 4111, 65537):
+        for k in (2, 3, 5, 7):
+            assert _perfect_power(b**k) == (b, k)
+        assert _perfect_power(b**4) == (b * b, 2)
+    assert _perfect_power(4099**2 * 4111) is None
+    assert _perfect_power(4099 * 4111) is None
 
 
 def _reference_brent_rho(n: int) -> int:
@@ -381,5 +477,14 @@ def test_rho_splits_as_with_absolute_differences():
             n *= _random_prime(rng, 8)
         if 34 <= n.bit_length() <= 50 and n % 2 and not is_probable_prime(n):
             corpus.append(n)
+    # smallest factor in (2^12, 2^16): no longer trial-divided, so rho finds it
+    while len(corpus) < 160:
+        n = _random_prime(rng, rng.randint(13, 16)) * _random_prime(rng, rng.randint(13, 34))
+        if rng.random() < 0.25:
+            n *= _random_prime(rng, rng.randint(13, 16))
+        corpus.append(n)
+    # r = 1 makes the only batch of odd length (one step, no double step);
+    # small odd composites often split or collapse in it
+    corpus += [n for n in range(9, 2**10, 2) if not is_probable_prime(n)]
     for n in corpus:
         assert _brent_rho(n, None) == _reference_brent_rho(n), n

@@ -13,13 +13,15 @@ from monodiv import (
     build_polygon,
     dedekind_p_maximal,
     discriminant,
+    factor,
     ind_phi,
     index_report,
     phi_development,
     residual_polynomial,
 )
-from monodiv import certify
-from monodiv.newton import PolygonSide, _dedekind, _polygon_from_values
+from monodiv import certify, three_torsion_quartic
+from monodiv.certify import _row
+from monodiv.newton import PolygonSide, _dedekind, _polygon_from_values, _slope_text
 from monodiv.poly import PolyFq, factor_mod_p
 
 F3 = lambda alpha: PolyInt((-3, -alpha, -6, 0, 1))
@@ -101,20 +103,23 @@ def _ind_phi_fraction_reference(polygon, deg_phi):
     return deg_phi * total
 
 
-def test_ind_phi_matches_the_fraction_count():
+def _fraction_count_cases():
+    """12000 seeded (values, polygon, deg phi)."""
     rng = random.Random(20261018)
-    checked = positive = 0
-    while checked < 12000:
+    for _ in range(12000):
         vals = [rng.choice([None, 0, 1, 2, 3, 5, 9]) for _ in range(rng.randint(2, 12))]
         if vals[0] is None:
             vals[0] = rng.randint(1, 20)
         if vals[-1] is None:
             vals[-1] = 0
-        pg = _polygon_from_values(vals)
-        deg_phi = rng.randint(1, 3)
+        yield vals, _polygon_from_values(vals), rng.randint(1, 3)
+
+
+def test_ind_phi_matches_the_fraction_count():
+    positive = 0
+    for vals, pg, deg_phi in _fraction_count_cases():
         expected = _ind_phi_fraction_reference(pg, deg_phi)
         assert ind_phi(pg, deg_phi) == expected, vals
-        checked += 1
         positive += expected > 0
     assert positive > 6000
 
@@ -336,7 +341,8 @@ def test_witness_path_matches_factor_mod_p_path():
     assert compared > 500 and nonlinear > 20
 
 
-def test_polygon_points_above_sides():
+def _points_above_polygons():
+    """Up to 200 seeded polygons with at least one finite point before the last."""
     rng = random.Random(115)
     for _ in range(200):
         vals = [rng.choice([None, 0, 1, 2, 3, 4]) for _ in range(rng.randint(2, 7))]
@@ -344,7 +350,11 @@ def test_polygon_points_above_sides():
             vals[-1] = 0
         if all(v is None for v in vals[:-1]):
             continue
-        pg = _polygon_from_values(vals)
+        yield _polygon_from_values(vals)
+
+
+def test_polygon_points_above_sides():
+    for pg in _points_above_polygons():
         slopes = [s.slope for s in pg.sides]
         assert slopes == sorted(slopes)
         assert all(s < 0 for s in slopes)
@@ -354,6 +364,24 @@ def test_polygon_points_above_sides():
             for side in pg.sides:
                 if side.x0 <= j <= side.x1:
                     assert Fraction(v) >= side.y0 + side.slope * (j - side.x0)
+
+
+def test_slope_text_matches_the_fraction():
+    # the JSON and CLI slope, written from the side's integers, against
+    # str(Fraction): every side of the polygon corpus above and of every row
+    # certify writes for alpha in [-300, 300]
+    sides = [s for _, pg, _ in _fraction_count_cases() for s in pg.sides]
+    sides += [s for pg in _points_above_polygons() for s in pg.sides]
+    for alpha in range(-300, 301):
+        if alpha in (-8, 8):
+            continue
+        f3 = three_torsion_quartic(alpha)
+        primes = {3} | set(factor(alpha - 8).primes()) | set(factor(alpha + 8).primes())
+        for p in primes:
+            sides += [s for r in _row(f3, alpha, p).per_phi for s in r.polygon.sides]
+    assert len({(s.y0 - s.y1, s.x1 - s.x0) for s in sides}) > 40
+    for side in sides:
+        assert _slope_text(side) == str(side.slope), side
 
 
 # --- Dedekind criterion ------------------------------------------------------
