@@ -5,16 +5,19 @@ the polynomial is the full psi_n(x); for even n it is psi_n / psi_2, with
 psi_2^2 eliminated through the curve relation 4x^3 + b2 x^2 + 2 b4 x + b6.
 The Fueter side mirrors this with F_2^2 = 4T^2 + (alpha/beta) T + 4.
 
-One recurrence serves both, over any ring.  Polynomials are built over Z:
-psi_n on the integral model b_i' = u^i b_i, u the lcm of the denominators of
-a1..a6 (1 for Tate curves); psi_n is isobaric of weight w = n^2 - 1 (n^2 - 4
-for the even part), so coefficient j is c_j u^(2j) / u^w.  F_n is built in
-S = T/beta, where every base is integral, and coefficient j is g_j / beta^j.
-``psi_value``/``fueter_value`` run it on integers at one point num/den (u^2 x,
-or S): each base B of formal degree d (4, 6 and 3; F_2^2 is padded with a zero
-top coefficient to degree 3) enters as den^d B(num/den).  Every term then has
-the formal degree deg of its index, (n^2 - 1)/2 or (n^2 - 4)/2, so the result
-is H_n / den^deg (over u^(2 deg) more for psi).
+One recurrence serves both, over any ring.  Polynomials are built over Z and
+handed over as one integer numerator over one denominator: psi_n on the
+integral model b_i' = u^i b_i, u the lcm of the denominators of a1..a6 (1 for
+Tate curves), which the curve caches and also reads Delta from; psi_n is
+isobaric of weight w = n^2 - 1 (n^2 - 4 for the even part), so coefficient j
+is c_j u^(2j) / u^w.  F_n is built in S = T/beta, where every base is
+integral, and coefficient j is g_j / beta^j = g_j beta^(d-j) / beta^d.
+The point values run it on integers at one point num/den (u^2 x, or S): each
+base B of formal degree d (4, 6 and 3; F_2^2 is padded with a zero top
+coefficient to degree 3) enters as den^d B(num/den).  Every term then has the
+formal degree deg of its index, (n^2 - 1)/2 or (n^2 - 4)/2, so the value is
+the pair H_n, den^deg (times u^(2 deg) for psi), which the identity check
+cross-multiplies as integers.
 
 Recurrence base cases and signs were cross-validated against the direct
 coordinate-change route (see tests); in particular the 4-torsion factor is
@@ -28,7 +31,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MathDomainError, SingularCurveError
-from .poly import PolyInt, PolyRat
+from .poly import PolyInt, PolyRat, _rat_from_integral
+
+_SINGULAR_TATE = "singular Tate parameters (Delta = 0)"
+
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -47,31 +53,28 @@ class WeierstrassCurve:
             raise SingularCurveError("curve parameters have vanishing discriminant")
 
     @cached_property
-    def b2(self) -> Fraction:
-        return self.a1**2 + 4 * self.a2
-
-    @cached_property
-    def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @cached_property
-    def b6(self) -> Fraction:
-        return self.a3**2 + 4 * self.a6
-
-    @cached_property
-    def b8(self) -> Fraction:
+    def integral_model(self) -> tuple[int, int, int, int, int]:
+        """(u, b2', b4', b6', b8'): u is the lcm of the denominators of
+        a1..a6, and b_i' = u^i b_i are the b-invariants of the integral model
+        a_j' = u^j a_j (integers, since each u a_j is one)."""
+        a = (self.a1, self.a2, self.a3, self.a4, self.a6)
+        u = math.lcm(*(c.denominator for c in a))
+        a1, a2, a3, a4, a6 = (
+            c.numerator * (u**j // c.denominator) for c, j in zip(a, (1, 2, 3, 4, 6))
+        )
         return (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
+            u,
+            a1 * a1 + 4 * a2,
+            2 * a4 + a1 * a3,
+            a3 * a3 + 4 * a6,
+            a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4,
         )
 
     @cached_property
     def delta(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        """The discriminant, that of the integral model over u^12 (weight 12)."""
+        u, b2, b4, b6, b8 = self.integral_model
+        return Fraction(-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6, u**12)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class TateNormalCurve:
         if math.gcd(self.alpha, self.beta) != 1:
             raise MathDomainError("alpha and beta must be coprime")
         if self.beta == 0 or self.alpha == 8 * self.beta or self.alpha == -8 * self.beta:
-            raise SingularCurveError("singular Tate parameters (Delta = 0)")
+            raise SingularCurveError(_SINGULAR_TATE)
 
     @property
     def a(self) -> int:
@@ -170,13 +173,9 @@ def _formal_degree(n: int) -> int:
 
 
 def _integral_psi_bases(curve: WeierstrassCurve) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """u, the lcm of the denominators of a1..a6, and the integer coefficients
-    of psi_3, psi_4/psi_2 and psi_2^2 on the integral model b_i' = u^i b_i
-    (integral: each monomial of b_i has weight i, and each u a_j is an integer)."""
-    u = math.lcm(*(c.denominator for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)))
-    b2, b4, b6, b8 = (
-        (b * u**i).numerator for b, i in ((curve.b2, 2), (curve.b4, 4), (curve.b6, 6), (curve.b8, 8))
-    )
+    """u and the integer coefficients of psi_3, psi_4/psi_2 and psi_2^2 on the
+    integral model of the curve."""
+    u, b2, b4, b6, b8 = curve.integral_model
     return u, (
         (b8, 3 * b6, 3 * b4, b2, 3),
         (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2),
@@ -213,47 +212,67 @@ def psi(curve: WeierstrassCurve, n: int) -> DivisionPoly:
     """n-th division polynomial; even n returns the psi_2 cofactor."""
     u, bases = _integral_psi_bases(curve)
     part = _division_part(n, *map(PolyInt, bases), fueter_signs=False)
-    uw = u ** (2 * _formal_degree(n))
-    poly = PolyRat(Fraction(c * u ** (2 * j), uw) for j, c in enumerate(part.coeffs))
+    num = [c * u ** (2 * j) for j, c in enumerate(part.coeffs)]
+    poly = _rat_from_integral(num, u ** (2 * _formal_degree(n)))
     return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
 
 
-def psi_value(curve: WeierstrassCurve, n: int, x: Fraction | int) -> Fraction:
-    """psi(curve, n).poly(x), by the recurrence on integers: the integral
-    model's part at u^2 x = num/den, times den^deg, over (den u^2)^deg."""
+def _psi_pair(curve: WeierstrassCurve, n: int, x: Fraction | int) -> tuple[int, int]:
+    """(H, D) with psi(curve, n).poly(x) = H / D, D > 0, by the recurrence on
+    integers: H is the integral model's part at u^2 x = num/den times
+    den^deg, and D = (den u^2)^deg."""
     u, bases = _integral_psi_bases(curve)
     x = Fraction(x) * (u * u)
     value = _division_part(n, *_homogeneous_values(bases, x), fueter_signs=False)
-    return Fraction(value, (x.denominator * u * u) ** _formal_degree(n))
+    return value, (x.denominator * u * u) ** _formal_degree(n)
+
+
+def psi_value(curve: WeierstrassCurve, n: int, x: Fraction | int) -> Fraction:
+    """psi(curve, n).poly(x), by the recurrence on integers."""
+    return Fraction(*_psi_pair(curve, n, x))
 
 
 def fueter(curve: TateNormalCurve, n: int) -> DivisionPoly:
     """n-th Fueter polynomial in T; even n returns the F_2 cofactor."""
     part = _division_part(n, *map(PolyInt, _fueter_bases(curve)), fueter_signs=True)
-    poly = PolyRat(Fraction(g, curve.beta**j) for j, g in enumerate(part.coeffs))
+    # coefficient j is g_j / beta^j = g_j beta^(d-j) / beta^d; beta^d > 0 for
+    # negative beta too, as d = (n^2 - 1)/2 = 2k(k + 1) for n = 2k + 1 and
+    # d = (n^2 - 4)/2 = 2k^2 - 2 for n = 2k are even
+    b, d = curve.beta, part.degree
+    num = [g * b ** (d - j) for j, g in enumerate(part.coeffs)]
+    poly = _rat_from_integral(num, b**d)
     return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
 
 
-def fueter_value(curve: TateNormalCurve, n: int, T: Fraction | int) -> Fraction:
-    """fueter(curve, n).poly(T), by the recurrence on integers: the part at
-    S = T/beta = num/den, times den^deg, over den^deg."""
+def _fueter_pair(curve: TateNormalCurve, n: int, T: Fraction | int) -> tuple[int, int]:
+    """(H, D) with fueter(curve, n).poly(T) = H / D, D > 0, by the recurrence
+    on integers: H is the part at S = T/beta = num/den times den^deg, and
+    D = den^deg."""
     S = Fraction(T) / curve.beta
     value = _division_part(n, *_homogeneous_values(_fueter_bases(curve), S), fueter_signs=True)
-    return Fraction(value, S.denominator ** _formal_degree(n))
+    return value, S.denominator ** _formal_degree(n)
+
+
+def fueter_value(curve: TateNormalCurve, n: int, T: Fraction | int) -> Fraction:
+    """fueter(curve, n).poly(T), by the recurrence on integers."""
+    return Fraction(*_fueter_pair(curve, n, T))
 
 
 def psi_fueter_identity_check(
     curve: TateNormalCurve, n: int, T: Fraction | int
 ) -> bool:
-    """Exact check of psi_n(x(T)) = (-1)^((n-1)/2) (a*beta/T)^((n^2-1)/2) F_n(T)."""
+    """Exact check of psi_n(x(T)) = (-1)^((n-1)/2) (a*beta/T)^((n^2-1)/2) F_n(T).
+
+    With T = t/s, psi_n(x(T)) = H/D and F_n(T) = G/E, the two sides agree
+    if and only if H E t^d = sign (a beta s)^d G D, all integers."""
     if n % 2 == 0:
         raise MathDomainError("the identity is implemented for odd n")
     T = Fraction(T)
-    lhs = psi_value(curve.weierstrass, n, T_to_x(T, curve))
+    H, D = _psi_pair(curve.weierstrass, n, T_to_x(T, curve))
+    G, E = _fueter_pair(curve, n, T)
     d = (n * n - 1) // 2
     sign = -1 if ((n - 1) // 2) % 2 else 1
-    rhs = sign * (Fraction(curve.a * curve.beta) / T) ** d * fueter_value(curve, n, T)
-    return lhs == rhs
+    return H * E * T.numerator**d == sign * (curve.a * curve.beta * T.denominator) ** d * G * D
 
 
 def verdure_disc(n: int, delta: Fraction | int) -> Fraction:
@@ -280,7 +299,10 @@ def verdure_disc(n: int, delta: Fraction | int) -> Fraction:
 
 def fueter_disc(n: int, alpha: int, beta: int) -> Fraction:
     """Closed-form discriminant of the odd Fueter polynomial F_n: the odd-n
-    `verdure_disc` with Delta = (alpha - 8 beta)(alpha + 8 beta) / beta^2."""
+    `verdure_disc` with Delta = (alpha - 8 beta)(alpha + 8 beta) / beta^2.
+    beta = 0 is singular, as in `tate_curve`."""
     if n % 2 == 0:
         raise MathDomainError("the Fueter discriminant formula is for odd n")
+    if beta == 0:
+        raise SingularCurveError(_SINGULAR_TATE)
     return verdure_disc(n, Fraction((alpha - 8 * beta) * (alpha + 8 * beta), beta * beta))

@@ -8,6 +8,8 @@ over Q, PolyModP over F_p, and PolyFq over the residue field F_p[x]/(phi) for
 residual polynomials, whose coefficients are PolyModP of degree below
 deg(phi).
 Coefficients are stored ascending; the zero polynomial is the empty tuple.
+PolyRat is stored as one integer numerator over one denominator, as FLINT's
+fmpq_poly is, and builds its Fraction coefficients only when they are read.
 There is no floating point anywhere in this module.
 
 Mod-p factorization is Cantor-Zassenhaus seeded with a fixed constant so that
@@ -272,12 +274,31 @@ class PolyInt(_DensePoly):
 
 
 class PolyRat(_DensePoly):
-    """Polynomial over Q, ascending Fraction coefficients."""
+    """Polynomial over Q, held as an integer polynomial over one denominator.
 
-    __slots__ = ()
+    ``num`` holds ascending ints with trailing zeros stripped and ``den`` is a
+    positive int with gcd(den, *num) == 1, so each polynomial has one
+    (num, den).  ``coeffs``, the ascending Fraction coefficients num_j / den,
+    is built the first time it is read; arithmetic goes through it."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        self.coeffs = _normalize(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        self.coeffs = coeffs = _normalize(
+            c if type(c) is Fraction else Fraction(c) for c in coeffs
+        )
+        # the lcm of the reduced denominators leaves num and den coprime
+        self.den = den = math.lcm(*(c.denominator for c in coeffs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    def __getattr__(self, name):
+        # reached only for attributes that are not set: the coeffs slot of a
+        # polynomial built by _rat_from_integral, or a name PolyRat lacks
+        if name != "coeffs":
+            raise AttributeError(f"'PolyRat' object has no attribute {name!r}")
+        den = self.den
+        self.coeffs = coeffs = tuple(Fraction(c, den) for c in self.num)
+        return coeffs
 
     @classmethod
     def one(cls) -> "PolyRat":
@@ -285,6 +306,17 @@ class PolyRat(_DensePoly):
 
     def __repr__(self) -> str:
         return f"PolyRat({[str(c) for c in self.coeffs]})"
+
+    @property
+    def degree(self) -> int:
+        return len(self.num) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def _scalar(self, k: int) -> Fraction:
         return Fraction(k)
@@ -294,8 +326,18 @@ class PolyRat(_DensePoly):
 
     def clear_denominators(self) -> tuple[PolyInt, int]:
         """Return (F, d) with self = F / d and F integral of the same degree."""
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        return PolyInt(c.numerator * (d // c.denominator) for c in self.coeffs), d
+        return PolyInt(self.num), self.den
+
+
+def _rat_from_integral(num, den: int) -> PolyRat:
+    """The PolyRat num / den, for ascending int coefficients num and an int
+    den > 0, made canonical by one gcd pass over den and num."""
+    num = _normalize(num)
+    g = math.gcd(den, *num)
+    out = PolyRat.__new__(PolyRat)
+    out.num = tuple(c // g for c in num) if g > 1 else num
+    out.den = den // g
+    return out
 
 
 class PolyModP(_DensePoly):

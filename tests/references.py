@@ -9,6 +9,11 @@ mod each prime of its certificate, which ``certify`` once handed to
 ``index_report`` as a witness) is the oracle of those rows and of Dedekind's
 criterion there, ``reconstruct`` is the oracle of
 ``phi_development``, ``two_torsion_poly`` that of the division recurrence,
+``b_invariants`` and ``delta_fraction``, the Fraction formulas that
+``WeierstrassCurve`` carried before it kept only its integral model, the
+oracles of that model and of every test that reads b2..b8,
+``psi_fueter_identity_fraction``, the former Fraction form of the identity
+check, its oracle,
 ``R_fraction``, the Fraction form of the floor sequence, that of ``R``, and
 Rabin's test and Yun's loop with its special cases, the package's former
 irreducibility test and squarefree split mod p, are the oracles of the
@@ -30,6 +35,7 @@ from monodiv import (
 )
 from monodiv import poly
 from monodiv.arith import divisors, factor
+from monodiv.elliptic import T_to_x, fueter_value, psi_value
 from monodiv.valuation import singular_fueter_T
 
 
@@ -90,6 +96,34 @@ def x_to_T(x: Fraction | int, curve: TateNormalCurve) -> Fraction:
     return Fraction(ab) / (x + ab)
 
 
+def b_invariants(curve: WeierstrassCurve) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """b2, b4, b6, b8 of the curve, by their Fraction formulas in a1..a6."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    return (
+        a1**2 + 4 * a2,
+        2 * a4 + a1 * a3,
+        a3**2 + 4 * a6,
+        a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2,
+    )
+
+
+def delta_fraction(curve: WeierstrassCurve) -> Fraction:
+    """The discriminant, by its Fraction formula in b2..b8."""
+    b2, b4, b6, b8 = b_invariants(curve)
+    return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+
+
+def psi_fueter_identity_fraction(curve: TateNormalCurve, n: int, T: Fraction | int) -> bool:
+    """psi_n(x(T)) == (-1)^((n-1)/2) (a*beta/T)^((n^2-1)/2) F_n(T), odd n,
+    compared as Fractions."""
+    T = Fraction(T)
+    lhs = psi_value(curve.weierstrass, n, T_to_x(T, curve))
+    d = (n * n - 1) // 2
+    sign = -1 if ((n - 1) // 2) % 2 else 1
+    rhs = sign * (Fraction(curve.a * curve.beta) / T) ** d * fueter_value(curve, n, T)
+    return lhs == rhs
+
+
 def double_x(curve: WeierstrassCurve | TateNormalCurve, x: Fraction | int) -> Fraction:
     """x-coordinate duplication map; errors on 2-torsion input."""
     if isinstance(curve, TateNormalCurve):
@@ -98,13 +132,15 @@ def double_x(curve: WeierstrassCurve | TateNormalCurve, x: Fraction | int) -> Fr
     den = two_torsion_poly(curve)(x)
     if den == 0:
         raise MathDomainError("x is a 2-torsion abscissa (duplication pole)")
-    num = x**4 - curve.b4 * x**2 - 2 * curve.b6 * x - curve.b8
+    _, b4, b6, b8 = b_invariants(curve)
+    num = x**4 - b4 * x**2 - 2 * b6 * x - b8
     return num / den
 
 
 def two_torsion_poly(curve: WeierstrassCurve) -> PolyRat:
     """4x^3 + b2 x^2 + 2 b4 x + b6 (the square of psi_2 on the curve)."""
-    return PolyRat((curve.b6, 2 * curve.b4, curve.b2, 4))
+    b2, b4, b6, _ = b_invariants(curve)
+    return PolyRat((b6, 2 * b4, b2, 4))
 
 
 def singular_T(case: SingularCase, curve: TateNormalCurve, p: int) -> int:

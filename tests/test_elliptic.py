@@ -1,5 +1,6 @@
 import functools
 import gc
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,14 @@ from monodiv import (
     verdure_disc,
 )
 from conftest import random_curve, random_rational_curve, random_tate_params
-from references import double_x, two_torsion_poly, x_to_T
+from references import (
+    b_invariants,
+    delta_fraction,
+    double_x,
+    psi_fueter_identity_fraction,
+    two_torsion_poly,
+    x_to_T,
+)
 
 
 # --- curve models ------------------------------------------------------------
@@ -33,7 +41,8 @@ def test_tate_curve_invariants():
     assert tc.a == 10
     # Delta = beta^4 (alpha - 8 beta) a^7 and c4 = a^2 (alpha^2 - 48 beta^2)
     assert w.delta == (2 - 8) * (2 + 8) ** 7 == -6 * 10**7
-    assert w.b2**2 - 24 * w.b4 == 10**2 * (2**2 - 48)
+    u, b2, b4, _, _ = w.integral_model
+    assert u == 1 and b2**2 - 24 * b4 == 10**2 * (2**2 - 48)
     assert tate_curve(0, 1).weierstrass.delta == -(2**24)
 
 
@@ -55,8 +64,57 @@ def test_tate_delta_closed_form_random(rng):
 
 def test_weierstrass_b_identity(rng):
     for _ in range(20):
-        c = random_curve(rng)
-        assert 4 * c.b8 == c.b2 * c.b6 - c.b4**2
+        for c in (random_curve(rng), random_rational_curve(rng)):
+            u, b2, b4, b6, b8 = c.integral_model
+            assert all(type(b) is int for b in (u, b2, b4, b6, b8))
+            assert 4 * b8 == b2 * b6 - b4**2
+
+
+def test_integral_model_matches_the_fraction_formulas(rng):
+    curves = [random_rational_curve(rng, bound=40) for _ in range(25)]
+    curves += [
+        tate_curve(*random_tate_params(rng, bound=500)).weierstrass for _ in range(10)
+    ] + [tate_curve(a, b).weierstrass for a, b in ((3, -10), (-1399, -40), (-12, 1), (0, 1))]
+    # b2 = 0 with u = 1 and with u = 48
+    curves += [
+        WeierstrassCurve(0, 0, 1, -1, 0),
+        WeierstrassCurve(Fraction(1, 2), Fraction(-1, 16), Fraction(1, 3), 2, Fraction(-5, 4)),
+    ]
+    assert sum(w.integral_model[0] > 1 for w in curves) >= 25
+    for w in curves:
+        u, *b = w.integral_model
+        assert u == math.lcm(*(c.denominator for c in (w.a1, w.a2, w.a3, w.a4, w.a6)))
+        assert all(type(x) is int for x in (u, *b))
+        assert [Fraction(bi, u**i) for bi, i in zip(b, (2, 4, 6, 8))] == list(b_invariants(w))
+        assert w.delta == delta_fraction(w) != 0, w
+
+
+def test_singular_curves_with_denominators_are_rejected(rng):
+    # y^2 = (x - r)^2 (x - s) has a node or a cusp at x = r
+    with pytest.raises(SingularCurveError):
+        WeierstrassCurve(0, Fraction(1, 4), 0, 0, 0)
+    for _ in range(10):
+        r = Fraction(rng.randint(-30, 30), rng.randint(2, 12))
+        s = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        a2, a4, a6 = -(2 * r + s), r * r + 2 * r * s, -r * r * s
+        # y -> y + (a1 x + a3)/2 gives the same curve an a1 and an a3
+        a1, a3 = Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3)
+        with pytest.raises(SingularCurveError):
+            WeierstrassCurve(
+                a1, a2 - a1 * a1 / 4, a3, a4 - a1 * a3 / 2, a6 - a3 * a3 / 4
+            )
+
+
+def test_fueter_disc_rejects_beta_zero():
+    with pytest.raises(SingularCurveError, match="singular Tate parameters"):
+        fueter_disc(3, 5, 0)
+    with pytest.raises(SingularCurveError) as from_curve:
+        tate_curve(1, 0)
+    with pytest.raises(SingularCurveError) as from_disc:
+        fueter_disc(5, 1, 0)
+    assert str(from_disc.value) == str(from_curve.value)
+    # the other singular parameters still give the vanishing discriminant
+    assert fueter_disc(3, 8, 1) == fueter_disc(5, -16, -2) == 0
 
 
 # --- coordinate change -------------------------------------------------------
@@ -103,7 +161,7 @@ def test_psi_small_values_on_tate_curve():
 
 def _psi_values_at(w, x, nmax):
     """Value-level recursion oracle: psi-part values at a fixed abscissa."""
-    b2, b4, b6, b8 = w.b2, w.b4, w.b6, w.b8
+    b2, b4, b6, b8 = b_invariants(w)
     B = ((4 * x + b2) * x + 2 * b4) * x + b6
     v = {
         1: Fraction(1),
@@ -229,6 +287,20 @@ def test_psi_fueter_identity_sweep(rng):
                 if T == 0:
                     continue
                 assert psi_fueter_identity_check(tc, n, T)
+
+
+def test_psi_fueter_identity_matches_the_fraction_form(rng):
+    curves = [tate_curve(*random_tate_params(rng, bound=300)) for _ in range(4)]
+    curves += [tate_curve(a, b) for a, b in ((3, -10), (-1399, -40), (977, 37), (-7, -1))]
+    points = [
+        Fraction(1), Fraction(-1), Fraction(1, 7), Fraction(-40, 3),
+        Fraction(3, 2**64 + 13), Fraction(-(2**65) - 3, 7), Fraction(2**65 + 3, 3**41),
+    ]
+    for tc in curves:
+        for n in (1, 3, 5, 7, 9):
+            for T in points + [Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))]:
+                expected = psi_fueter_identity_fraction(tc, n, T)
+                assert expected and psi_fueter_identity_check(tc, n, T), (tc, n, T)
 
 
 def test_psi_fueter_identity_rejects_even_n():
@@ -358,14 +430,15 @@ def test_recurrence_leaves_no_cyclic_garbage():
 #
 # psi and fueter used to run two copies of the division recurrence, each
 # memoized across calls.  Both copies are frozen here, unchanged apart from
-# the memo and the former TateNormalCurve.fueter_quadratic written out, as the
-# reference for the shared per-call recurrence.
+# the memo, the former TateNormalCurve.fueter_quadratic written out and the
+# b-invariants read through `b_invariants`, as the reference for the shared
+# per-call recurrence.
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_psi_part(curve, n):
     P = functools.partial(_reference_psi_part, curve)
-    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    b2, b4, b6, b8 = b_invariants(curve)
     if n in (1, 2):
         return PolyRat.one()
     if n == 3:
@@ -456,6 +529,17 @@ def test_psi_and_fueter_match_reference_for_large_beta(alpha, beta):
     _assert_matches_reference(tc.weierstrass, ns)
     for n in ns:
         assert fueter(tc, n).poly.coeffs == _reference_fueter_part(tc, n).coeffs, n
+
+
+@pytest.mark.parametrize("alpha,beta", [(3, -10), (-1399, -40), (-7, -1), (977, -37)])
+def test_psi_and_fueter_match_reference_for_negative_beta(alpha, beta):
+    tc = tate_curve(alpha, beta)
+    ns = (*range(1, 11), 13)
+    _assert_matches_reference(tc.weierstrass, ns)
+    for n in ns:
+        f = fueter(tc, n).poly
+        assert f.coeffs == _reference_fueter_part(tc, n).coeffs, n
+        assert f.den > 0 and math.gcd(f.den, *f.num) == 1, n
 
 
 def _value_points(rng, count):

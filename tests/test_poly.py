@@ -119,6 +119,52 @@ def test_equality_is_exact_in_type_and_ring():
         assert a == b and hash(a) == hash(b)
 
 
+def _old_lcm_form(coeffs):
+    """(num, den) of a nonzero or zero rational polynomial as PolyRat's
+    former clear_denominators gave it: the lcm of the reduced denominators,
+    each coefficient scaled to it."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
+def test_polyrat_is_one_canonical_numerator_over_one_denominator():
+    rng = random.Random(230)
+    dens = (1, 2, 3, 7**9, 2**64 + 13, 3**48, 2**77 - 1, 10**20 + 39)
+    polys = [(), (0, 0), (5,), (-3, 0, 2), (Fraction(4, 2), Fraction(-6, 3))]
+    while len(polys) < 300:
+        kind = len(polys) % 3  # integral, one shared denominator, mixed
+        deg = rng.randint(0, 9)
+        shared = rng.choice(dens)
+        coeffs = []
+        for _ in range(deg + 1):
+            den = 1 if kind == 0 else shared if kind == 1 else rng.choice(dens) * rng.randint(1, 9)
+            coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(0, 2**80), den))
+        if rng.random() < 0.2:
+            coeffs.append(0)  # a trailing zero
+        polys.append(tuple(coeffs))
+    for coeffs in polys:
+        f = PolyRat(coeffs)
+        num, den = _old_lcm_form(coeffs)
+        assert (f.num, f.den) == (num, den), coeffs
+        assert den > 0 and math.gcd(den, *num) == 1
+        assert all(type(c) is int for c in f.num)
+        assert f.degree == len(num) - 1 and f.is_zero == (not num) == (not f)
+        expected = tuple(Fraction(c, den) for c in num)
+        assert f.coeffs == expected and PolyRat(f.coeffs) == f
+        assert f.clear_denominators() == (PolyInt(num), den)
+        # the same polynomial from an integer numerator over any positive
+        # multiple of its denominator
+        k = rng.choice((1, 2, 9, 2**70 + 1))
+        g = poly_module._rat_from_integral([c * k for c in num] + [0], den * k)
+        assert (g.num, g.den) == (num, den), (coeffs, k)
+        assert g == f and hash(g) == hash(f)
+        assert g.coeffs == expected and g.to_text() == f.to_text()
+        assert (g * g, g + g, -g) == (f * f, f + f, -f)
+
+
 def test_polyint_takes_integral_values_only():
     with pytest.raises(MathDomainError):
         PolyInt((Fraction(3, 2),))

@@ -7,14 +7,16 @@ from monodiv import (
     MathDomainError,
     R,
     SingularCase,
+    fueter,
     observed_fueter_valuation,
     observed_psi_valuation,
     predicted_fueter_valuation,
     predicted_valuation,
+    psi,
     singular_case,
     tate_curve,
 )
-from monodiv.arith import factor
+from monodiv.arith import factor, vp_fraction
 from monodiv.valuation import singular_fueter_T, singular_x
 
 from conftest import random_tate_params
@@ -192,6 +194,24 @@ def test_singular_T_is_repeated_root_of_f3(rng):
             dval = f3.derivative()(Fraction(t0))
             assert val.numerator % p == 0 and val.denominator % p != 0
             assert dval.numerator % p == 0
+
+
+def test_observed_valuations_match_the_polynomial_values(rng):
+    # v_p of the built polynomial's Fraction value at the singular point, at
+    # every odd bad prime; negative beta included
+    params = [random_tate_params(rng, bound=200) for _ in range(4)]
+    params += [(3, -10), (-1399, -40), (41, 49), (-7, -3)]
+    for alpha, beta in params:
+        tc = tate_curve(alpha, beta)
+        primes = factor(beta * (alpha - 8 * beta) * (alpha + 8 * beta)).primes()
+        for p in (q for q in primes if q != 2):
+            case = singular_case(tc, p)
+            x, T = singular_x(case, tc), singular_fueter_T(case, tc)
+            for n in (1, 3, 5, 7, 9):
+                psi_value = psi(tc.weierstrass, n).poly(x)
+                fueter_value = fueter(tc, n).poly(T)
+                assert observed_psi_valuation(tc, case, n) == vp_fraction(psi_value, p)
+                assert observed_fueter_valuation(tc, case, n) == vp_fraction(fueter_value, p)
 
 
 def test_minus_case_T_is_minus_one_mod_p(rng):
