@@ -10,9 +10,9 @@ hold.  `_row` builds that report from the T0-development of the quartic in
 closed form, with the proof in a comment, and falls back to the generic
 `index_report` pass only where that proof does not apply, which no alpha
 satisfying the hypothesis reaches.  The closed-form row is written from the
-proof, not re-derived: the polygon is its one side with no hull built, the
-lift mod p and the residual are built from integers already reduced mod p,
-and `_row_json` writes a one-lift row as one dict.  The output is the same
+proof, not re-derived: the polygon is its one side with no hull built, and
+the row is regular because the proof's residual is linear, so no F_p object
+is built; `_row_json` writes a one-lift row as one dict.  The output is the same
 as the generic construction's, byte for byte.  `montes_certificate`, and with
 it the survey, runs the generic pass at every prime, as the `index` command
 does.
@@ -49,7 +49,7 @@ from .newton import (  # noqa: F401
     dedekind_p_maximal,
     index_report,
 )
-from .poly import PolyInt, _reduced_fq, _reduced_mod_p, discriminant, resultant
+from .poly import PolyInt, discriminant, resultant
 from .reduction import reduction_table  # noqa: F401
 
 SCHEMA_VERSION = 1
@@ -191,36 +191,48 @@ def _row_failure(r: IndexReport) -> str | None:
     return None
 
 
+def _taylor(alpha, t0) -> tuple:
+    """(a0, ..., a4) with Phi(y + t0) = sum a_j y^j, for
+    Phi = three_torsion_quartic(alpha)."""
+    return (t0**4 - 6 * t0**2 - alpha * t0 - 3, 4 * t0**3 - 12 * t0 - alpha, 6 * t0**2 - 6, 4 * t0, 1)
+
+
 # The row of one prime p of the certificate comes from the development
 # Phi(y + t0) = sum a_j y^j at the lift T - t0, whose coefficients have a
-# closed form: a4 = 1, a3 = 4 t0, a2 = 6 t0^2 - 6, a1 = Phi'(t0) =
-# 4 t0^3 - 12 t0 - alpha, a0 = Phi(t0).  t0 is the root of the repeated factor
-# of Phi mod p: 1 at p = 2 (Phi-bar = (T + 1)^4); 0, 4, -4 at p = 3 as alpha
-# is 0, 1, 2 mod 3 (Phi-bar = T^4 - alpha T = T (T - alpha)^3); for p >= 5, the
-# singular Fueter point of tate_curve(alpha, 1) mod p
-# (`valuation.singular_fueter_T`): p - 1 when p | alpha - 8 (Phi-bar =
-# (T + 1)^3 (T - 3), as Phi - (T + 1)^3 (T - 3) = -(alpha - 8) T) and 1 when
-# p | alpha + 8 (T -> -T).  Let e be the first j with v_p(a_j) = 0: the
-# multiplicity of T - t0 in Phi mod p.  When v_p(a0) = 1 and e >= deg Phi - 1:
+# closed form (`_taylor`): a4 = 1, a3 = 4 t0, a2 = 6 t0^2 - 6, a1 = Phi'(t0) =
+# 4 t0^3 - 12 t0 - alpha, a0 = Phi(t0) [test_row_taylor_and_dedekind_identities].
+# t0 is the root of the repeated factor of Phi mod p: 1 at p = 2
+# (Phi-bar = (T + 1)^4); 0, 4, -4 at p = 3 as alpha is 0, 1, 2 mod 3
+# (Phi-bar = T^4 - alpha T = T (T - alpha)^3); for p >= 5, the singular Fueter
+# point of tate_curve(alpha, 1) mod p (`valuation.singular_fueter_T`): p - 1
+# when p | alpha - 8 (Phi-bar = (T + 1)^3 (T - 3), as
+# Phi - (T + 1)^3 (T - 3) = -(alpha - 8) T [test_row_taylor_and_dedekind_identities])
+# and 1 when p | alpha + 8 (T -> -T).  Let e be the first j with v_p(a_j) = 0:
+# the multiplicity of T - t0 in Phi mod p.  When v_p(a0) = 1 and
+# e >= deg Phi - 1:
 # - hull: 0 < j < e gives v_p(a_j) >= 1 > 1 - j/e, so the polygon is the one
 #   side (0, 1)-(e, 0), of degree gcd(1, e) = 1.  It has no lattice point
 #   with x, y >= 1, and its residual (a0/p) + a_e y has degree 1, so it is
-#   separable: ind_p = 0, and exactly.
+#   separable: ind_p = 0, and exactly [test_row_one_side_polygon_lemma].
 # - Dedekind: F = (Phi - prod)/p, and prod vanishes at the lift t~ = t0 mod p
 #   of the root that `_dedekind` takes, so F(t~) = Phi(t~)/p.  As
 #   Phi(t0 + kp) = Phi(t0) + kp Phi'(t0) mod p^2 and p | Phi'(t0) = a1 when
 #   e >= 2, Phi(t~) = a0 mod p^2, so F-bar(t0) != 0: T - t0 does not divide
-#   F-bar.
+#   F-bar [test_row_proof_at_every_class_mod_p2, and
+#   test_row_matches_index_report_at_every_prime on samples at p >= 5].
 # - no other repeated factor: with e >= 3 the cofactor of (T - t0)^e has
-#   degree <= 1.
+#   degree <= 1 [e >= 3 is checked with v_p(a0) = 1 by the tests below].
 # The hypothesis (alpha -+ 8 squarefree) gives e >= 3 by the factorizations
 # above, and v_p(a0) = 1:
 # - p >= 5: a0 = Phi(p - 1) = Phi(-1) + p Phi'(-1) = (alpha - 8)(1 - p) mod p^2
-#   when p | alpha - 8, and a0 = Phi(1) = -(alpha + 8) when p | alpha + 8;
+#   when p | alpha - 8 [test_row_proof_at_p_dividing_alpha_minus_8], and
+#   a0 = Phi(1) = -(alpha + 8) when p | alpha + 8
+#   [test_row_proof_at_p_dividing_alpha_plus_8];
 # - p = 2: a0 = Phi(1) = -(alpha + 8);
 # - p = 3, 3 | alpha: a0 = Phi(0) = -3;
 # - p = 3, alpha = +-1 mod 3: a0 = Phi(+-4) = 157 -+ 4 alpha = -+4 (alpha -+ 1)
-#   mod 9, and 9 | alpha -+ 1 iff 9 | alpha +- 8.
+#   mod 9, and 9 | alpha -+ 1 iff 9 | alpha +- 8
+#   [test_row_proof_at_every_class_mod_p2, for p = 2 and p = 3].
 # So `index_report`, the generic pass, only builds the rows of other alphas.
 def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
     """The `IndexReport` of the quartic f3 = three_torsion_quartic(alpha) at a
@@ -236,19 +248,12 @@ def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
     else:
         t0 = 1
     lift = PolyInt((-t0, 1))
-    a = (t0**4 - 6 * t0**2 - alpha * t0 - 3, 4 * t0**3 - 12 * t0 - alpha, 6 * t0**2 - 6, 4 * t0, 1)
-    values = [vp(c, p) if c else None for c in a]
+    values = [vp(c, p) if c else None for c in _taylor(alpha, t0)]
     e = values.index(0)
     if values[0] != 1 or e < f3.degree - 1:
         return index_report(f3, p, lifts=[lift])
-    # v_p(a0) = 1 and v_p(a_e) = 0, so both residual coefficients are units
-    # mod p, and the lift mod p is monic: each F_p object below is reduced
-    residual = _reduced_fq(
-        _reduced_mod_p(p, (-t0 % p, 1)),
-        (_reduced_mod_p(p, ((a[0] // p) % p,)), _reduced_mod_p(p, (a[e] % p,))),
-    )
     polygon = NewtonPolygon(tuple(enumerate(values)), (PolygonSide(0, 1, e, 0, 1),))
-    phi_report = PhiReport(lift, e, polygon, 1, 0, True, (residual,))
+    phi_report = PhiReport(lift, e, polygon, 1, 0, True)
     return IndexReport(p, (phi_report,), 0, True, True)
 
 

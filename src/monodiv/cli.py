@@ -129,7 +129,7 @@ def _cmd_newton(args):
     for side in polygon.sides:
         lines.append(
             f"side ({side.x0},{side.y0})->({side.x1},{side.y1}) "
-            f"slope {side.slope} degree {side.degree}"
+            f"slope {side.slope_text} degree {side.degree}"
         )
     lines.append(f"ind_phi = {ind}")
     return polygon.to_json_dict(ind=ind), "\n".join(lines)

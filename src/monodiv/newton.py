@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import require_prime
 from .errors import ExactRootError, MathDomainError
@@ -50,16 +49,13 @@ class PolygonSide:
         return cls(x0, y0, x1, y1, math.gcd(y0 - y1, x1 - x0))
 
     @property
-    def slope(self) -> Fraction:
-        return Fraction(self.y1 - self.y0, self.x1 - self.x0)
-
-
-def _slope_text(side: PolygonSide) -> str:
-    """``str(side.slope)`` from the side's integers, with no Fraction: the
-    degree is gcd(y0 - y1, x1 - x0), so dividing by it reduces the slope."""
-    num = (side.y1 - side.y0) // side.degree
-    den = (side.x1 - side.x0) // side.degree
-    return f"{num}/{den}" if den != 1 else str(num)
+    def slope_text(self) -> str:
+        """The slope (y1 - y0)/(x1 - x0) in lowest terms, as "num/den" or
+        "num" when den = 1: the degree is gcd(y0 - y1, x1 - x0), so dividing
+        by it reduces the slope."""
+        num = (self.y1 - self.y0) // self.degree
+        den = (self.x1 - self.x0) // self.degree
+        return f"{num}/{den}" if den != 1 else str(num)
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class NewtonPolygon:
                     "y0": s.y0,
                     "x1": s.x1,
                     "y1": s.y1,
-                    "slope": _slope_text(s),
+                    "slope": s.slope_text,
                     "degree": s.degree,
                 }
                 for s in self.sides
@@ -156,7 +152,10 @@ def residual_polynomial(dev: PhiDevelopment, p: int, side: PolygonSide) -> PolyF
 
 @dataclass(frozen=True)
 class PhiReport:
-    """Polygon data for one repeated irreducible factor."""
+    """Polygon data for one repeated irreducible factor.  ``regular`` says
+    that the residual polynomial of every side is separable; the residuals
+    themselves are not kept (`residual_polynomial` rebuilds one from the
+    development at ``phi``)."""
 
     phi: PolyInt
     exponent: int
@@ -164,7 +163,6 @@ class PhiReport:
     a0_val: int | None  # None when the lift divides Phi exactly
     ind_phi: int
     regular: bool
-    residuals: tuple[PolyFq, ...]
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,6 @@ def index_report(
                 a0_val=values[0],
                 ind_phi=ind_phi(polygon, lift.degree),
                 regular=all(r.is_separable() for r in resids),
-                residuals=resids,
             )
         )
     return IndexReport(

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import vp
+from .arith import require_prime, vp
 from .errors import MathDomainError
 
 _FACTOR_SEED = 0x5EED_1D1  # fixed: reproducible factorizations and certificates
@@ -387,20 +387,10 @@ class PolyModP(_DensePoly):
 
     def is_irreducible(self) -> bool:
         """A reducible polynomial has an irreducible factor of degree at most
-        half its own, which the distinct-degree split finds first."""
+        half its own, which the distinct-degree split finds first.  p must
+        be prime (MathDomainError otherwise)."""
+        require_prime(self.p)
         return self.degree >= 1 and _distinct_degree(self.monic())[0][0] == self.degree
-
-
-def _reduced_mod_p(p: int, coeffs: tuple[int, ...]) -> PolyModP:
-    """The PolyModP with these coefficients, taken as they are.
-
-    Precondition, not checked: every coefficient is an int in [0, p) and the
-    top one is nonzero.  Call it only where a proof guarantees that; on any
-    other input, use PolyModP(p, coeffs)."""
-    out = PolyModP.__new__(PolyModP)
-    out.p = p
-    out.coeffs = coeffs
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +476,10 @@ def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
 
     Output order is deterministic (degree, then coefficient tuple); the
     equal-degree splitting RNG runs from a fixed seed so repeated calls are
-    identical.  For non-monic f the factors multiply to monic(f).
+    identical.  For non-monic f the factors multiply to monic(f).  p must be
+    prime (MathDomainError otherwise).
     """
+    require_prime(f.p)
     if f.is_zero:
         raise MathDomainError("cannot factor the zero polynomial")
     rng = random.Random(_FACTOR_SEED)
@@ -544,20 +536,6 @@ class PolyFq(_DensePoly):
             raise MathDomainError("separability of a constant is undefined")
         # a linear polynomial's derivative is its nonzero leading coefficient
         return self.degree == 1 or self.gcd(self.derivative()).degree == 0
-
-
-def _reduced_fq(modulus: PolyModP, coeffs: tuple[PolyModP, ...]) -> PolyFq:
-    """The PolyFq over F_p[x]/(modulus) with these coefficients, taken as
-    they are.
-
-    Precondition, not checked: every coefficient is a PolyModP over the
-    modulus's p, each of its own coefficients in [0, p), of degree below
-    deg(modulus), and the top one is nonzero.  Call it only where a proof
-    guarantees that; on any other input, use PolyFq(modulus, coeffs)."""
-    out = PolyFq.__new__(PolyFq)
-    out.modulus = modulus
-    out.coeffs = coeffs
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,31 +62,30 @@ def _odd_only(n: int) -> None:
         raise MathDomainError("the valuation formulas are stated for odd n")
 
 
+# v_p(Psi_n) and v_p(F_n) at the singular point are these multiples of
+# v (n^2 - 1)/8, by case tag (see the module docstring)
+_MULTIPLIERS = {"minus": (1, 1), "plus": (5, 1), "beta": (3, -1)}
+
+
+def _predicted(case: SingularCase, n: int) -> tuple[int, int]:
+    """Predicted (v_p(Psi_n), v_p(F_n)) at the singular point, odd n."""
+    _odd_only(n)
+    if case.tag not in _MULTIPLIERS:
+        raise MathDomainError(f"unknown case tag {case.tag!r}")
+    k = case.v * ((n * n - 1) // 8)
+    psi_m, fueter_m = _MULTIPLIERS[case.tag]
+    return psi_m * k, fueter_m * k
+
+
 def predicted_valuation(case: SingularCase, n: int) -> int:
     """Predicted v_p of Psi_n at the singular abscissa, odd n."""
-    _odd_only(n)
-    k = (n * n - 1) // 8
-    if case.tag == "minus":
-        return case.v * k
-    if case.tag == "plus":
-        return case.v * 5 * k
-    if case.tag == "beta":
-        return case.v * 3 * k
-    raise MathDomainError(f"unknown case tag {case.tag!r}")
+    return _predicted(case, n)[0]
 
 
 def predicted_fueter_valuation(case: SingularCase, n: int) -> int:
     """Predicted v_p of F_n at the corresponding Fueter point, odd n
     (negative for p | beta)."""
-    _odd_only(n)
-    k = (n * n - 1) // 8
-    if case.tag == "minus":
-        return case.v * k
-    if case.tag == "plus":
-        return case.v * k
-    if case.tag == "beta":
-        return -case.v * k
-    raise MathDomainError(f"unknown case tag {case.tag!r}")
+    return _predicted(case, n)[1]
 
 
 def singular_x(case: SingularCase, curve: TateNormalCurve) -> int:

@@ -14,7 +14,9 @@ criterion there, ``reconstruct`` is the oracle of
 oracles of that model and of every test that reads b2..b8,
 ``psi_fueter_identity_fraction``, the former Fraction form of the identity
 check, its oracle,
-``R_fraction``, the Fraction form of the floor sequence, that of ``R``, and
+``R_fraction``, the Fraction form of the floor sequence, that of ``R``,
+``slope``, the Fraction slope that ``PolygonSide`` once carried, that of
+``PolygonSide.slope_text`` and of the tests that reason about hull slopes, and
 Rabin's test and Yun's loop with its special cases, the package's former
 irreducibility test and squarefree split mod p, are the oracles of the
 distinct-degree test and the plain loop that replaced them."""
@@ -160,6 +162,11 @@ def reconstruct(dev: PhiDevelopment) -> PolyInt:
         out = out + a * power
         power = power * dev.phi
     return out
+
+
+def slope(side) -> Fraction:
+    """The slope of a polygon side as a Fraction."""
+    return Fraction(side.y1 - side.y0, side.x1 - side.x0)
 
 
 def R_fraction(n: int, a: int, ell: int) -> int:

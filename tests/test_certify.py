@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import random
@@ -36,8 +37,8 @@ from monodiv.certify import (
     is_irreducible_quartic,
     montes_certificate,
 )
-from monodiv.newton import IndexReport, index_report
-from monodiv.poly import PolyFq, PolyModP, factor_mod_p, phi_development
+from monodiv.newton import IndexReport, PolygonSide, ind_phi, index_report
+from monodiv.poly import factor_mod_p
 from references import closed_form, count_real_roots, rational_roots, singular_T
 
 certify_module = importlib.import_module("monodiv.certify")
@@ -264,58 +265,30 @@ def _row_cases(monkeypatch, alphas):
     """(alpha, p, row, whether _row fell back to index_report, whether
     alpha -+ 8 is squarefree) at every prime certify visits.  A fallback is
     index_report(f3, p, lifts=[lift]) at the lift of closed_form; every other
-    row passes `_check_closed_form_row`."""
-    fallbacks, trusted = [], []
+    row's polygon is the hull of its own points, one per coefficient."""
+    fallbacks = []
 
     def recorded(*args, **kwargs):
         fallbacks.append((args, kwargs))
         return index_report(*args, **kwargs)
 
-    def recording(make):
-        def made(*args):
-            trusted.append(make(*args))
-            return trusted[-1]
-
-        return made
-
     monkeypatch.setattr(certify_module, "index_report", recorded)
-    for name in ("_reduced_mod_p", "_reduced_fq"):
-        monkeypatch.setattr(certify_module, name, recording(getattr(poly_module, name)))
     for alpha in alphas:
         fact_minus, fact_plus = factor(alpha - 8), factor(alpha + 8)
         hypothesis = fact_minus.is_squarefree() and fact_plus.is_squarefree()
         f3 = three_torsion_quartic(alpha)
         for p in sorted({3} | set(fact_minus.primes() + fact_plus.primes())):
             fallbacks.clear()
-            trusted.clear()
             row = _row(f3, alpha, p)
             lift, _ = closed_form(alpha, p)
             assert fallbacks in ([], [((f3, p), {"lifts": [lift]})]), (alpha, p)
-            if fallbacks:
-                assert trusted == [], (alpha, p)
-            else:
-                _check_closed_form_row(f3, p, row, trusted)
+            if not fallbacks:
+                points = row.per_phi[0].polygon.points
+                assert [j for j, _ in points] == list(range(f3.degree + 1))
+                assert row.per_phi[0].polygon == newton_module._polygon_from_values(
+                    [v for _, v in points]
+                ), (alpha, p)
             yield alpha, p, row, bool(fallbacks), hypothesis
-
-
-def _check_closed_form_row(f3, p, row, trusted):
-    """A closed-form row against the slow path it replaces: its polygon is
-    the hull of its own points, and each F_p object it built with a trusting
-    constructor of poly has the coefficients that PolyModP and PolyFq give
-    from the unreduced integers of the development at the lift."""
-    (r,) = row.per_phi
-    (residual,) = r.residuals
-    points = r.polygon.points
-    assert r.polygon == newton_module._polygon_from_values([v for _, v in points])
-    assert [j for j, _ in points] == list(range(f3.degree + 1))
-    a = [t.coeffs[0] if t.coeffs else 0 for t in phi_development(f3, r.phi).terms]
-    expected = PolyFq(
-        PolyModP(p, r.phi.coeffs), [PolyModP(p, (a[0] // p,)), PolyModP(p, (a[r.exponent],))]
-    )
-    assert residual.modulus.coeffs == expected.modulus.coeffs
-    assert [c.coeffs for c in residual.coeffs] == [c.coeffs for c in expected.coeffs]
-    # the four objects above are all that went through the trusting constructors
-    assert sorted(map(id, trusted)) == sorted(map(id, (residual, residual.modulus, *residual.coeffs)))
 
 
 def test_row_matches_index_report_at_every_prime(monkeypatch):
@@ -354,6 +327,101 @@ def test_row_matches_index_report_on_seeded_large_alphas(monkeypatch):
     assert branches[True, False] > 1000 and branches[False, True] > 10
 
 
+# --- the proof above certify._row, for every alpha ---------------------------
+
+ALPHA, T0, Y, P, K = sympy.symbols("alpha t0 y p k", integer=True)
+
+
+def _phi(T):
+    """three_torsion_quartic(alpha) in Z[alpha, T]."""
+    return T**4 - 6 * T**2 - ALPHA * T - 3
+
+
+def _p_order(expr) -> int:
+    """The least power of p over the monomials of expr in Z[p, k]: p^m
+    divides expr at every integer p and k (m = 99 for expr = 0)."""
+    poly = sympy.Poly(sympy.expand(expr), P, K)
+    assert poly.domain == sympy.ZZ, expr
+    return 99 if poly.is_zero else min(m[0] for m in poly.monoms())
+
+
+def test_row_taylor_and_dedekind_identities():
+    # _phi is three_torsion_quartic, as both are linear in alpha
+    for alpha in (0, 1):
+        coeffs = sympy.Poly(_phi(Y).subs(ALPHA, alpha), Y).all_coeffs()[::-1]
+        assert three_torsion_quartic(alpha).coeffs == tuple(coeffs)
+    # _row's coefficients are the Taylor coefficients at t0, in Z[alpha, t0, y]
+    a = certify_module._taylor(ALPHA, T0)
+    assert sympy.expand(_phi(Y + T0) - sum(c * Y**j for j, c in enumerate(a))) == 0
+    # Phi-bar = (T + 1)^3 (T - 3) at p | alpha - 8, and (T - 1)^3 (T + 3) at
+    # p | alpha + 8 (T -> -T)
+    assert sympy.expand(_phi(Y) - (Y + 1) ** 3 * (Y - 3) + (ALPHA - 8) * Y) == 0
+    assert sympy.expand(_phi(Y) - (Y - 1) ** 3 * (Y + 3) + (ALPHA + 8) * Y) == 0
+
+
+def test_row_proof_at_p_dividing_alpha_minus_8():
+    # alpha = 8 + pk, t0 = p - 1: a0 = pk(1 - p) mod p^2, p | a1, p | a2 and
+    # a3 = -4 mod p.  So v_p(a0) = 1 iff p does not divide k (alpha - 8
+    # squarefree at p), and a3 is a unit for p >= 5: e = 3
+    a0, a1, a2, a3, a4 = certify_module._taylor(8 + P * K, P - 1)
+    assert _p_order(a0 - P * K * (1 - P)) >= 2
+    assert _p_order(a1) >= 1 and _p_order(a2) >= 1
+    assert _p_order(a3 + 4) >= 1 and a4 == 1
+
+
+def test_row_proof_at_p_dividing_alpha_plus_8():
+    # alpha = -8 + pk, t0 = 1: v_p(a0) = 1 iff p does not divide k, and
+    # a3 = 4 is a unit for p >= 5: e = 3
+    a = certify_module._taylor(-8 + P * K, 1)
+    assert [sympy.expand(c) for c in a] == [-P * K, -P * K, 0, 4, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_row_proof_at_every_class_mod_p2(monkeypatch, p):
+    # _row reads alpha through t0, which depends on alpha mod p, and through
+    # a0 and a1, which are linear in alpha; so alpha mod p^2 fixes v_p(a0)
+    # and which a_j are units mod p, and one representative of each class of
+    # alpha mod 27 (p = 3) or mod 64 (p = 2, where only even alpha have a
+    # row) checks every alpha.  A class is admissible when p^2 divides
+    # neither alpha - 8 nor alpha + 8.
+    def refuse(*args, **kwargs):
+        raise AssertionError("_row fell back to index_report")
+
+    monkeypatch.setattr(certify_module, "index_report", refuse)
+    modulus = {2: 64, 3: 27}[p]
+    classes = [
+        r for r in range(modulus)
+        if (r - 8) % p**2 and (r + 8) % p**2 and (p == 3 or r % 2 == 0)
+    ]
+    assert len(classes) == {2: 16, 3: 21}[p]
+    for alpha in classes:
+        f3 = three_torsion_quartic(alpha)
+        (r,) = _row(f3, alpha, p).per_phi
+        values = [v for _, v in r.polygon.points]
+        e = values.index(0)
+        assert r.a0_val == values[0] == 1 and e >= 3, alpha
+        assert r.polygon.sides == (PolygonSide(0, 1, e, 0, 1),), alpha
+        assert r.polygon == newton_module._polygon_from_values(values), alpha
+        # Dedekind's criterion reads Phi mod p^2, so alpha mod p^2 fixes it
+        assert dedekind_p_maximal(f3, p), alpha
+
+
+def test_row_one_side_polygon_lemma():
+    # v(a0) = 1, v(a_j) >= 1 for 0 < j < e and v(a_e) = 0: one side
+    # (0, 1)-(e, 0) of degree 1, no lattice point under it, whatever follows
+    # a_e; valuations above 2 and None (a_j = 0) lie above the side alike
+    cases = 0
+    for e in (1, 2, 3, 4):
+        for middle in itertools.product((1, 2, None), repeat=e - 1):
+            for tail in itertools.product((0, 1, None), repeat=4 - e):
+                values = [1, *middle, 0, *tail]
+                polygon = newton_module._polygon_from_values(values)
+                assert polygon.sides == (PolygonSide(0, 1, e, 0, 1),), values
+                assert ind_phi(polygon, 1) == 0
+                cases += 1
+    assert cases == 4 * 27
+
+
 def test_certify_runs_no_generic_pass_under_the_hypothesis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("generic pass called")
@@ -369,6 +437,16 @@ def test_certify_runs_no_generic_pass_under_the_hypothesis(monkeypatch):
     # _polygon_from_values neither through newton nor through its own import
     monkeypatch.setattr(newton_module, "_polygon_from_values", refuse)
     monkeypatch.setattr(certify_module, "_polygon_from_values", refuse, raising=False)
+    # nor any F_p object: the proof's residual is linear, so the row is
+    # regular without one.  These modules build each PolyModP and PolyFq
+    # through their own module-level name for the class
+    class NoFp:
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("F_p object built")
+
+    for module in (poly_module, newton_module, certify_module):
+        for name in ("PolyModP", "PolyFq"):
+            monkeypatch.setattr(module, name, NoFp, raising=False)
     rng = random.Random("no_generic_pass")
     alphas = [*KNOWN_MONOGENIC, *(-a for a in KNOWN_MONOGENIC)]
     alphas += [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(20)]
@@ -398,7 +476,7 @@ def test_certify_proves_each_prime_once(monkeypatch):
 
     monkeypatch.setattr(arith, "is_probable_prime", counted)
     monkeypatch.setattr(certify_module, "factor", factoring)
-    for name in ("monodiv.arith", "monodiv.newton", "monodiv.valuation"):
+    for name in ("monodiv.arith", "monodiv.newton", "monodiv.poly", "monodiv.valuation"):
         monkeypatch.setattr(importlib.import_module(name), "require_prime", required.append)
     rng = random.Random("prove_once")
     certs = [certify(rng.choice((-1, 1)) * rng.randrange(2**59, 2**61)) for _ in range(60)]

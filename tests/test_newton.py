@@ -21,8 +21,9 @@ from monodiv import (
 )
 from monodiv import certify, three_torsion_quartic
 from monodiv.certify import _row
-from monodiv.newton import PolygonSide, _dedekind, _polygon_from_values, _slope_text
+from monodiv.newton import PolygonSide, _dedekind, _polygon_from_values
 from monodiv.poly import PolyFq, factor_mod_p
+from references import slope
 
 F3 = lambda alpha: PolyInt((-3, -alpha, -6, 0, 1))
 T_MINUS = lambda t0: PolyInt((-t0, 1))
@@ -36,7 +37,7 @@ def test_polygon_of_f3_alpha2_at_2():
     pg = build_polygon(dev, 2)
     assert pg.points == ((0, 1), (1, 1), (2, None), (3, 2), (4, 0))
     assert pg.sides == (PolygonSide(0, 1, 4, 0, 1),)
-    assert pg.sides[0].slope == Fraction(-1, 4)
+    assert slope(pg.sides[0]) == Fraction(-1, 4)
 
 
 def test_polygon_montes_shape():
@@ -47,7 +48,7 @@ def test_polygon_montes_shape():
 def test_polygon_collinear_points_merge():
     pg = _polygon_from_values([2, 1, 0])
     assert pg.sides == (PolygonSide(0, 2, 2, 0, 2),)
-    assert pg.sides[0].slope == Fraction(-1)
+    assert slope(pg.sides[0]) == Fraction(-1)
 
 
 def test_polygon_exact_root_signal():
@@ -59,7 +60,7 @@ def test_polygon_exact_root_signal():
 def test_polygon_multiple_sides():
     pg = _polygon_from_values([3, 1, None, 0])
     assert pg.sides == (PolygonSide(0, 3, 1, 1, 1), PolygonSide(1, 1, 3, 0, 1))
-    assert [s.slope for s in pg.sides] == [Fraction(-2), Fraction(-1, 2)]
+    assert [slope(s) for s in pg.sides] == [Fraction(-2), Fraction(-1, 2)]
 
 
 # --- lattice counting --------------------------------------------------------
@@ -97,7 +98,7 @@ def _ind_phi_fraction_reference(polygon, deg_phi):
     for idx, side in enumerate(polygon.sides):
         start = side.x0 if idx == 0 else side.x0 + 1
         for x in range(max(start, 1), side.x1 + 1):
-            h = Fraction(side.y0) + side.slope * (x - side.x0)
+            h = Fraction(side.y0) + slope(side) * (x - side.x0)
             if h >= 1:
                 total += math.floor(h)
     return deg_phi * total
@@ -275,12 +276,14 @@ def test_index_report_quadratic_residue_field():
     pr = rep.per_phi[0]
     assert (rep.ind_p_lower_bound, rep.exact) == (2, True)
     assert pr.polygon.sides == (PolygonSide(0, 2, 2, 0, 2),)
-    assert [c.coeffs for c in pr.residuals[0].coeffs] == [
+    (side,) = pr.polygon.sides
+    residual = residual_polynomial(phi_development(f2, pr.phi), 3, side)
+    assert [c.coeffs for c in residual.coeffs] == [
         (1,),
         (0, 1),
         (1,),
     ]
-    assert pr.residuals[0].is_separable()
+    assert residual.is_separable()
     assert not dedekind_p_maximal(f2, 3)
 
 
@@ -355,7 +358,7 @@ def _points_above_polygons():
 
 def test_polygon_points_above_sides():
     for pg in _points_above_polygons():
-        slopes = [s.slope for s in pg.sides]
+        slopes = [slope(s) for s in pg.sides]
         assert slopes == sorted(slopes)
         assert all(s < 0 for s in slopes)
         for j, v in pg.points:
@@ -363,7 +366,7 @@ def test_polygon_points_above_sides():
                 continue
             for side in pg.sides:
                 if side.x0 <= j <= side.x1:
-                    assert Fraction(v) >= side.y0 + side.slope * (j - side.x0)
+                    assert Fraction(v) >= side.y0 + slope(side) * (j - side.x0)
 
 
 def test_slope_text_matches_the_fraction():
@@ -381,7 +384,7 @@ def test_slope_text_matches_the_fraction():
             sides += [s for r in _row(f3, alpha, p).per_phi for s in r.polygon.sides]
     assert len({(s.y0 - s.y1, s.x1 - s.x0) for s in sides}) > 40
     for side in sides:
-        assert _slope_text(side) == str(side.slope), side
+        assert side.slope_text == str(slope(side)), side
 
 
 # --- Dedekind criterion ------------------------------------------------------

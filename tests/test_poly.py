@@ -355,6 +355,16 @@ def test_irreducibility_and_witness_checks_never_factor_an_integer(monkeypatch):
     assert [(r.phi, r.exponent) for r in report.per_phi] == [(PolyInt((1, 0, 1)), 2)]
 
 
+@pytest.mark.parametrize("p", [15, 9, 4, 1, -7])
+def test_factoring_and_irreducibility_reject_a_modulus_that_is_not_prime(p):
+    # Z/15 is not a field, yet x^2 + 1 once came back irreducible there
+    f = PolyModP(p, (1, 0, 1))
+    with pytest.raises(MathDomainError, match="not a prime"):
+        factor_mod_p(f)
+    with pytest.raises(MathDomainError, match="not a prime"):
+        f.is_irreducible()
+
+
 def test_gcd_mod_p_examples():
     assert PolyModP(5, (-1, 0, 1)).gcd(PolyModP(5, (-1, 1))) == PolyModP(5, (-1, 1))
     f = PolyModP(7, (1, 1, 1))
