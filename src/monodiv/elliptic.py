@@ -1,23 +1,24 @@
 """Curve models, division polynomials, and Fueter polynomials.
 
-Division polynomials are kept as (x-polynomial, parity flag) pairs: for odd n
-the polynomial is the full psi_n(x); for even n it is psi_n / psi_2, with
-psi_2^2 eliminated through the curve relation 4x^3 + b2 x^2 + 2 b4 x + b6.
-The Fueter side mirrors this with F_2^2 = 4T^2 + (alpha/beta) T + 4.
+For odd n a division polynomial is the full psi_n(x); for even n it is
+psi_n / psi_2, with psi_2^2 eliminated through the curve relation
+4x^3 + b2 x^2 + 2 b4 x + b6.  The Fueter side mirrors this with
+F_2^2 = 4T^2 + (alpha/beta) T + 4.
 
-One recurrence serves both, over any ring.  Polynomials are built over Z and
-handed over as one integer numerator over one denominator: psi_n on the
-integral model b_i' = u^i b_i, u the lcm of the denominators of a1..a6 (1 for
-Tate curves), which the curve caches and also reads Delta from; psi_n is
-isobaric of weight w = n^2 - 1 (n^2 - 4 for the even part), so coefficient j
-is c_j u^(2j) / u^w.  F_n is built in S = T/beta, where every base is
-integral, and coefficient j is g_j / beta^j = g_j beta^(d-j) / beta^d.
-The point values run it on integers at one point num/den (u^2 x, or S): each
-base B of formal degree d (4, 6 and 3; F_2^2 is padded with a zero top
-coefficient to degree 3) enters as den^d B(num/den).  Every term then has the
-formal degree deg of its index, (n^2 - 1)/2 or (n^2 - 4)/2, so the value is
-the pair H_n, den^deg (times u^(2 deg) for psi), which the identity check
-cross-multiplies as integers.
+One recurrence serves both, over any ring, and a family is its model: the
+integer coefficients of the third, the even and the squared 2-torsion base,
+a substitution lam = ln/ld, an outer scale mu and the Fueter sign flag, with
+P_n(z) = part_n(lam z) / mu^deg and deg the formal degree of the index.
+psi runs on the integral model b_i' = u^i b_i, u the lcm of the denominators
+of a1..a6 (1 for Tate curves), which the curve caches and also reads Delta
+from; psi_n is isobaric of weight 2 deg, so lam = mu = u^2.  F runs in
+S = T/beta, where every base is integral: lam = 1/beta and mu = 1.
+The polynomial is one integer numerator over one denominator, coefficient j
+being c_j ln^j ld^(deg-j) over (ld mu)^deg > 0.  A point value runs the
+recurrence on integers at lam z = num/den, each base B of formal degree d
+(4, 6 and 3; F_2^2 is padded with a zero top coefficient) entering as
+den^d B(num/den); the value is the pair H_n, (den mu)^deg, which the
+identity check cross-multiplies as integers.
 
 Recurrence base cases and signs were cross-validated against the direct
 coordinate-change route (see tests); in particular the 4-torsion factor is
@@ -126,8 +127,11 @@ class DivisionPoly:
     """
 
     n: int
-    even_part: bool
     poly: PolyRat
+
+    @property
+    def even_part(self) -> bool:
+        return self.n % 2 == 0
 
 
 def _division_part(n: int, base3, base4, square, fueter_signs: bool):
@@ -172,26 +176,28 @@ def _formal_degree(n: int) -> int:
     return (n * n - (4 if n % 2 == 0 else 1)) // 2
 
 
-def _integral_psi_bases(curve: WeierstrassCurve) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """u and the integer coefficients of psi_3, psi_4/psi_2 and psi_2^2 on the
-    integral model of the curve."""
+def _psi_model(curve: WeierstrassCurve):
+    """(bases, lam, mu, fueter_signs) of psi: psi_3, psi_4/psi_2 and psi_2^2
+    on the integral model, lam = mu = u^2."""
     u, b2, b4, b6, b8 = curve.integral_model
-    return u, (
+    bases = (
         (b8, 3 * b6, 3 * b4, b2, 3),
         (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2),
         (b6, 2 * b4, b2, 4),
     )
+    return bases, Fraction(u * u), u * u, False
 
 
-def _fueter_bases(curve: TateNormalCurve) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficients of F_3, F_4/F_2 and F_2^2 in S = T/beta; F_2^2 is
-    padded with a zero top coefficient to the formal degree 3 of psi_2^2."""
+def _fueter_model(curve: TateNormalCurve):
+    """(bases, lam, mu, fueter_signs) of F: F_3, F_4/F_2 and F_2^2 (padded to
+    degree 3) in S = T/beta, lam = 1/beta and mu = 1."""
     a, b2 = curve.alpha, curve.beta**2
-    return (
+    bases = (
         (-3, -a, -6 * b2, 0, b2 * b2),
         (-2, -a, -10 * b2, 0, 10 * b2 * b2, a * b2 * b2, 2 * b2**3),
         (4, a, 4 * b2, 0),
     )
+    return bases, Fraction(1, curve.beta), 1, True
 
 
 def _homogeneous_values(bases, point: Fraction) -> list[int]:
@@ -208,54 +214,44 @@ def _homogeneous_values(bases, point: Fraction) -> list[int]:
     return values
 
 
+def _polynomial(model, n: int) -> DivisionPoly:
+    """The n-th part P_n(z) = part_n(lam z) / mu^deg of a model: with
+    lam = ln/ld, coefficient j is c_j ln^j ld^(deg-j) over (ld mu)^deg > 0."""
+    bases, lam, mu, fueter_signs = model
+    part = _division_part(n, *map(PolyInt, bases), fueter_signs=fueter_signs)
+    ln, ld, deg = lam.numerator, lam.denominator, _formal_degree(n)
+    num = [c * ln**j * ld ** (deg - j) for j, c in enumerate(part.coeffs)]
+    return DivisionPoly(n=n, poly=_rat_from_integral(num, (ld * mu) ** deg))
+
+
+def _pair(model, n: int, z: Fraction | int) -> tuple[int, int]:
+    """(H, D) with _polynomial(model, n).poly(z) = H / D, D > 0, by the
+    recurrence on integers: at lam z = num/den, H = den^deg part_n(num/den)
+    and D = (den mu)^deg."""
+    bases, lam, mu, fueter_signs = model
+    point = Fraction(z) * lam
+    H = _division_part(n, *_homogeneous_values(bases, point), fueter_signs=fueter_signs)
+    return H, (point.denominator * mu) ** _formal_degree(n)
+
+
 def psi(curve: WeierstrassCurve, n: int) -> DivisionPoly:
     """n-th division polynomial; even n returns the psi_2 cofactor."""
-    u, bases = _integral_psi_bases(curve)
-    part = _division_part(n, *map(PolyInt, bases), fueter_signs=False)
-    num = [c * u ** (2 * j) for j, c in enumerate(part.coeffs)]
-    poly = _rat_from_integral(num, u ** (2 * _formal_degree(n)))
-    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
-
-
-def _psi_pair(curve: WeierstrassCurve, n: int, x: Fraction | int) -> tuple[int, int]:
-    """(H, D) with psi(curve, n).poly(x) = H / D, D > 0, by the recurrence on
-    integers: H is the integral model's part at u^2 x = num/den times
-    den^deg, and D = (den u^2)^deg."""
-    u, bases = _integral_psi_bases(curve)
-    x = Fraction(x) * (u * u)
-    value = _division_part(n, *_homogeneous_values(bases, x), fueter_signs=False)
-    return value, (x.denominator * u * u) ** _formal_degree(n)
+    return _polynomial(_psi_model(curve), n)
 
 
 def psi_value(curve: WeierstrassCurve, n: int, x: Fraction | int) -> Fraction:
     """psi(curve, n).poly(x), by the recurrence on integers."""
-    return Fraction(*_psi_pair(curve, n, x))
+    return Fraction(*_pair(_psi_model(curve), n, x))
 
 
 def fueter(curve: TateNormalCurve, n: int) -> DivisionPoly:
     """n-th Fueter polynomial in T; even n returns the F_2 cofactor."""
-    part = _division_part(n, *map(PolyInt, _fueter_bases(curve)), fueter_signs=True)
-    # coefficient j is g_j / beta^j = g_j beta^(d-j) / beta^d; beta^d > 0 for
-    # negative beta too, as d = (n^2 - 1)/2 = 2k(k + 1) for n = 2k + 1 and
-    # d = (n^2 - 4)/2 = 2k^2 - 2 for n = 2k are even
-    b, d = curve.beta, part.degree
-    num = [g * b ** (d - j) for j, g in enumerate(part.coeffs)]
-    poly = _rat_from_integral(num, b**d)
-    return DivisionPoly(n=n, even_part=(n % 2 == 0), poly=poly)
-
-
-def _fueter_pair(curve: TateNormalCurve, n: int, T: Fraction | int) -> tuple[int, int]:
-    """(H, D) with fueter(curve, n).poly(T) = H / D, D > 0, by the recurrence
-    on integers: H is the part at S = T/beta = num/den times den^deg, and
-    D = den^deg."""
-    S = Fraction(T) / curve.beta
-    value = _division_part(n, *_homogeneous_values(_fueter_bases(curve), S), fueter_signs=True)
-    return value, S.denominator ** _formal_degree(n)
+    return _polynomial(_fueter_model(curve), n)
 
 
 def fueter_value(curve: TateNormalCurve, n: int, T: Fraction | int) -> Fraction:
     """fueter(curve, n).poly(T), by the recurrence on integers."""
-    return Fraction(*_fueter_pair(curve, n, T))
+    return Fraction(*_pair(_fueter_model(curve), n, T))
 
 
 def psi_fueter_identity_check(
@@ -268,8 +264,8 @@ def psi_fueter_identity_check(
     if n % 2 == 0:
         raise MathDomainError("the identity is implemented for odd n")
     T = Fraction(T)
-    H, D = _psi_pair(curve.weierstrass, n, T_to_x(T, curve))
-    G, E = _fueter_pair(curve, n, T)
+    H, D = _pair(_psi_model(curve.weierstrass), n, T_to_x(T, curve))
+    G, E = _pair(_fueter_model(curve), n, T)
     d = (n * n - 1) // 2
     sign = -1 if ((n - 1) // 2) % 2 else 1
     return H * E * T.numerator**d == sign * (curve.a * curve.beta * T.denominator) ** d * G * D

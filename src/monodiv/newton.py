@@ -44,10 +44,6 @@ class PolygonSide:
     y1: int
     degree: int
 
-    @classmethod
-    def make(cls, x0: int, y0: int, x1: int, y1: int) -> "PolygonSide":
-        return cls(x0, y0, x1, y1, math.gcd(y0 - y1, x1 - x0))
-
     @property
     def slope_text(self) -> str:
         """The slope (y1 - y0)/(x1 - x0) in lowest terms, as "num/den" or
@@ -99,9 +95,9 @@ def _polygon_from_values(values: list[int | None]) -> NewtonPolygon:
             hull.pop()
         hull.append(pt)
     sides = tuple(
-        PolygonSide.make(a[0], a[1], b[0], b[1])
-        for a, b in zip(hull, hull[1:])
-        if b[1] < a[1]
+        PolygonSide(x0, y0, x1, y1, math.gcd(y0 - y1, x1 - x0))
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+        if y1 < y0
     )
     return NewtonPolygon(points=points, sides=sides)
 

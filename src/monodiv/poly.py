@@ -50,11 +50,11 @@ class _DensePoly:
 
     A subclass supplies its coefficient ring: a normalizing constructor
     behind ``_wrap`` (PolyInt's and PolyModP's skip its integer check),
-    ``_scalar`` (an integer as a coefficient), ``_inverse`` (of a divisor's
-    leading coefficient) and ``_ring_key`` (the ring's parameters, part of
-    equality).  Over F_p, ``_quotient_mod`` is p, and over F_p[x]/(phi) it is
-    phi: division reduces each quotient coefficient, evaluation each partial
-    value, and the constructor everything else.
+    ``_scalar`` (an integer as a coefficient) and ``_inverse`` (of a
+    divisor's leading coefficient).  ``_quotient_mod`` is the ring's
+    parameter, part of equality: 0 over Z and Q, p over F_p, and phi over
+    F_p[x]/(phi), where division reduces each quotient coefficient,
+    evaluation each partial value, and the constructor everything else.
     Arithmetic with a polynomial of another class raises TypeError, except
     that PolyFq takes a PolyModP as a scalar.
     """
@@ -67,9 +67,6 @@ class _DensePoly:
 
     def _scalar(self, k: int):
         return k
-
-    def _ring_key(self) -> tuple:
-        return ()
 
     def to_text(self) -> str:
         if self.is_zero:
@@ -101,11 +98,11 @@ class _DensePoly:
         return (
             type(other) is type(self)
             and self.coeffs == other.coeffs
-            and self._ring_key() == other._ring_key()
+            and self._quotient_mod == other._quotient_mod
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, *self._ring_key(), self.coeffs))
+        return hash((type(self).__name__, self._quotient_mod, self.coeffs))
 
     def __neg__(self):
         return self._wrap(-c for c in self.coeffs)
@@ -361,9 +358,6 @@ class PolyModP(_DensePoly):
 
     __mul__ = __rmul__ = _integral_mul
 
-    def _ring_key(self) -> tuple:
-        return (self.p,)
-
     @property
     def _quotient_mod(self) -> int:
         return self.p
@@ -523,9 +517,6 @@ class PolyFq(_DensePoly):
             return PolyModP(p, (pow(c.coeffs[0], -1, p),))
         # Fermat: c^(q-2) = 1/c in F_q^*, q = p^deg(phi)
         return pow(c, p**d - 2, self.modulus)
-
-    def _ring_key(self) -> tuple:
-        return (self.modulus,)
 
     def __repr__(self) -> str:
         return f"PolyFq({self.modulus!r}, {list(self.coeffs)!r})"

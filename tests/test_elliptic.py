@@ -542,6 +542,22 @@ def test_psi_and_fueter_match_reference_for_negative_beta(alpha, beta):
         assert f.den > 0 and math.gcd(f.den, *f.num) == 1, n
 
 
+@pytest.mark.parametrize("family", ["rational", "negative_beta"])
+def test_psi_is_canonical(rng, family):
+    # den = (ld mu)^deg must come out positive and coprime to num both when
+    # u > 1 scales the integral model and when beta < 0
+    if family == "rational":
+        curves = [random_rational_curve(rng) for _ in range(6)]
+        assert all(w.integral_model[0] > 1 for w in curves)
+    else:
+        params = [(3, -10), (-1399, -40), (-7, -1), (977, -37)]
+        curves = [tate_curve(a, b).weierstrass for a, b in params]
+    for w in curves:
+        for n in (*range(1, 11), 13):
+            f = psi(w, n).poly
+            assert f.den > 0 and math.gcd(f.den, *f.num) == 1, (w, n)
+
+
 def _value_points(rng, count):
     points = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(count)]
     return [x for x in points if x] + [Fraction(1), Fraction(-1)]

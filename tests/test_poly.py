@@ -23,6 +23,7 @@ from monodiv import (
     tate_curve,
 )
 from monodiv import poly as poly_module
+from monodiv.poly import PolyFq
 from conftest import sympy_poly, to_sympy
 from references import (
     count_real_roots,
@@ -117,6 +118,16 @@ def test_equality_is_exact_in_type_and_ring():
         (PolyModP(5, (6, 2)), PolyModP(5, (1, -3))),
     ):
         assert a == b and hash(a) == hash(b)
+
+
+def test_polyfq_equality_reads_the_modulus():
+    # x^2 + 1 and x^2 + x + 2 are both irreducible over F_3
+    phi, chi = PolyModP(3, (1, 0, 1)), PolyModP(3, (2, 1, 1))
+    coeffs = (PolyModP(3, (1, 1)), PolyModP(3, (2,)))
+    assert PolyFq(phi, coeffs) != PolyFq(chi, coeffs)
+    a = PolyFq(phi, coeffs)
+    b = PolyFq(phi, (coeffs[0] + phi, coeffs[1]))  # reduced mod phi on entry
+    assert a == b and hash(a) == hash(b)
 
 
 def _old_lcm_form(coeffs):
