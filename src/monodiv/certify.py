@@ -61,14 +61,15 @@ SCHEMA_VERSION = 1
 # f(+-3) = 24 -+ 3*alpha, so a root exists only at alpha = +-8.  A split
 # (T^2 + aT + b)(T^2 - aT + d) needs bd = -3 and a^2 = b + d + 6, which is 4
 # or 8; the only integer case is a = +-2 with {b, d} = {1, -3}, and then
-# alpha = -a(d - b) = +-8.
+# alpha = -a(d - b) = +-8 [test_quartic_irreducibility_cases].
 def three_torsion_quartic(alpha: int) -> PolyInt:
     """The quartic T^4 - 6T^2 - alpha*T - 3 (3-torsion in Fueter form, beta=1)."""
     return PolyInt((-3, -alpha, -6, 0, 1))
 
 
 def field_discriminant(alpha: int) -> int:
-    """-27 (alpha-8)^2 (alpha+8)^2, the discriminant of the quartic."""
+    """-27 (alpha-8)^2 (alpha+8)^2, the discriminant of the quartic
+    [test_field_discriminant_is_the_discriminant_in_z_alpha]."""
     return -27 * (alpha - 8) ** 2 * (alpha + 8) ** 2
 
 
@@ -291,6 +292,7 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
     # tate_curve(alpha, 1), so classify_odd finds I_1 (case "minus") or I*_1
     # (case "plus", v odd: tate1-3a), and an even alpha has v_2(alpha + 8) = 1,
     # which classify_two finds to be I*_1 (tate2-1)
+    # [test_reduction_ok_cases_under_the_hypothesis]
     return _certificate(alpha, reports, field_discriminant(alpha), trust, True)
 
 
@@ -339,8 +341,9 @@ def galois_signature(alpha: int) -> GaloisSignature:
     with negative discriminant has two real roots and one complex pair."""
     if alpha in (8, -8):
         raise MathDomainError("the quartic is reducible; no Galois group of a field")
-    # the resolvent x^3 + 6x^2 + 12x + 72 - alpha^2 is (x + 2)^3 - (alpha^2 - 64),
-    # so it has a rational root iff alpha^2 - 64 is an integer cube
+    # the resolvent x^3 + 6x^2 + 12x + 72 - alpha^2 is (x + 2)^3 - (alpha^2 - 64)
+    # [test_galois_resolvent_is_a_shifted_cube], so it has a rational root iff
+    # alpha^2 - 64 is an integer cube [test_galois_signature_matches_sympy_galois_group]
     m = abs(alpha * alpha - 64)
     resolvent_has_root = _integer_nth_root(m, 3) ** 3 == m
     return GaloisSignature(

@@ -18,7 +18,6 @@ from . import elliptic, newton, poly, reduction, valuation
 from .certify import certify as run_certify
 from .certify import scan as run_scan
 from .certify import survey_family
-from .elliptic import DivisionPoly
 from .errors import BudgetExceededError, MathDomainError, MonodivError
 
 # Largest division/Fueter index the CLI accepts: the cost of psi_n grows
@@ -67,7 +66,7 @@ def _curve_from_args(args) -> elliptic.WeierstrassCurve:
     return elliptic.tate_curve(args.alpha, args.beta).weierstrass
 
 
-def _division_poly(dp: DivisionPoly):
+def _division_poly(dp: elliptic.DivisionPoly):
     text = dp.poly.to_text()
     return {"n": dp.n, "even_part": dp.even_part, "coefficients": text}, text
 

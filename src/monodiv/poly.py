@@ -9,7 +9,8 @@ residual polynomials, whose coefficients are PolyModP of degree below
 deg(phi).
 Coefficients are stored ascending; the zero polynomial is the empty tuple.
 PolyRat is stored as one integer numerator over one denominator, as FLINT's
-fmpq_poly is, and builds its Fraction coefficients only when they are read.
+fmpq_poly is; its Fraction coefficients are derived from that pair on each
+read.
 There is no floating point anywhere in this module.
 
 Mod-p factorization is Cantor-Zassenhaus seeded with a fixed constant so that
@@ -50,16 +51,18 @@ class _DensePoly:
 
     A subclass supplies its coefficient ring: a normalizing constructor
     behind ``_wrap`` (PolyInt's and PolyModP's skip its integer check),
-    ``_scalar`` (an integer as a coefficient) and ``_inverse`` (of a
-    divisor's leading coefficient).  ``_quotient_mod`` is the ring's
-    parameter, part of equality: 0 over Z and Q, p over F_p, and phi over
-    F_p[x]/(phi), where division reduces each quotient coefficient,
+    ``_inverse`` (of a divisor's leading coefficient), and its own state:
+    ``coeffs`` in a slot, or, for PolyRat, derived from ``num`` and ``den``.
+    ``_scalar`` (an integer as a coefficient) is the int itself, which is
+    exact over Z, Q and F_p; only PolyFq overrides it.  ``_quotient_mod`` is
+    the ring's parameter, part of equality: 0 over Z and Q, p over F_p, and
+    phi over F_p[x]/(phi), where division reduces each quotient coefficient,
     evaluation each partial value, and the constructor everything else.
     Arithmetic with a polynomial of another class raises TypeError, except
     that PolyFq takes a PolyModP as a scalar.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
     _quotient_mod = 0
 
     def _wrap(self, coeffs):
@@ -126,12 +129,13 @@ class _DensePoly:
             if isinstance(other, _DensePoly) and type(other) is not type(self._scalar(0)):
                 return NotImplemented
             return self._wrap(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
+        f, g = self.coeffs, other.coeffs
+        if not f or not g:
             return self._wrap(())
-        out = [self._scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [self._scalar(0)] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(g):
                     out[i + j] += a * b
         return self._wrap(out)
 
@@ -171,8 +175,8 @@ class _DensePoly:
         if not b:
             raise MathDomainError("division by the zero polynomial")
         d, inv = len(b) - 1, self._inverse(b[-1])
-        q = [self._scalar(0)] * max(0, len(self.coeffs) - d)
         r = list(self.coeffs)
+        q = [self._scalar(0)] * max(0, len(r) - d)
         for i in range(len(r) - 1 - d, -1, -1):
             c = r[i + d] * inv
             if m:
@@ -223,7 +227,7 @@ class PolyInt(_DensePoly):
     Ring operations between PolyInts give ints, so ``_wrap`` takes them as
     they are."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         self.coeffs = _normalize(map(_integer, coeffs))
@@ -275,27 +279,22 @@ class PolyRat(_DensePoly):
 
     ``num`` holds ascending ints with trailing zeros stripped and ``den`` is a
     positive int with gcd(den, *num) == 1, so each polynomial has one
-    (num, den).  ``coeffs``, the ascending Fraction coefficients num_j / den,
-    is built the first time it is read; arithmetic goes through it."""
+    (num, den), and that pair is all a PolyRat stores.  ``coeffs``, the
+    ascending Fraction coefficients num_j / den, is derived from it on each
+    read; arithmetic goes through it."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        self.coeffs = coeffs = _normalize(
-            c if type(c) is Fraction else Fraction(c) for c in coeffs
-        )
+        coeffs = _normalize(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         # the lcm of the reduced denominators leaves num and den coprime
         self.den = den = math.lcm(*(c.denominator for c in coeffs))
         self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
-    def __getattr__(self, name):
-        # reached only for attributes that are not set: the coeffs slot of a
-        # polynomial built by _rat_from_integral, or a name PolyRat lacks
-        if name != "coeffs":
-            raise AttributeError(f"'PolyRat' object has no attribute {name!r}")
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den
-        self.coeffs = coeffs = tuple(Fraction(c, den) for c in self.num)
-        return coeffs
+        return tuple(Fraction(c, den) for c in self.num)
 
     @classmethod
     def one(cls) -> "PolyRat":
@@ -314,9 +313,6 @@ class PolyRat(_DensePoly):
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def _scalar(self, k: int) -> Fraction:
-        return Fraction(k)
 
     def _inverse(self, c: Fraction) -> Fraction:
         return 1 / c
@@ -344,7 +340,7 @@ class PolyModP(_DensePoly):
     values only and raise MathDomainError on any other; ring operations
     between PolyModPs give ints, so ``_wrap`` only reduces them mod p."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs=()):
         self.p = p
@@ -494,7 +490,7 @@ class PolyFq(_DensePoly):
     """Polynomial over F_q = F_p[x]/(phi) for monic irreducible phi; each
     coefficient is a PolyModP that the constructor reduces modulo phi."""
 
-    __slots__ = ("modulus",)
+    __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus: PolyModP, coeffs=()):
         self.modulus = modulus

@@ -4,11 +4,14 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from collections import Counter
 
 import pytest
 import sympy
+from sympy.combinatorics.galois import S4TransitiveSubgroups
+from sympy.polys.numberfields.galoisgroups import galois_group
 
 from monodiv import (
     BudgetExceededError,
@@ -103,8 +106,44 @@ def test_quartic_is_reducible_exactly_at_alpha_plus_minus_8():
         assert is_irreducible_quartic(three_torsion_quartic(alpha)), alpha
 
 
+def test_quartic_irreducibility_cases():
+    # the proof above three_torsion_quartic, case by case.  A rational root
+    # is a signed divisor of 3, and each one is a root for one alpha only:
+    alpha, a, b, c, d, T = sympy.symbols("alpha a b c d T")
+    quartic = T**4 - 6 * T**2 - alpha * T - 3
+    assert sympy.Poly(three_torsion_quartic(5).coeffs[::-1], T).as_expr() == quartic.subs(alpha, 5)
+    roots = {r: sympy.solve(quartic.subs(T, r), alpha) for r in (1, -1, 3, -3)}
+    assert roots == {1: [-8], -1: [8], 3: [8], -3: [-8]}
+    for r, (value,) in roots.items():
+        assert three_torsion_quartic(int(value))(r) == 0
+    # a split into monic integer quadratics: the T^3 term gives c = -a, and
+    # then a^2 = b + d + 6, alpha = a(b - d) and bd = -3
+    split = sympy.expand((T**2 + a * T + b) * (T**2 + c * T + d) - quartic)
+    assert sympy.Poly(split, T).all_coeffs()[0] == a + c
+    split = sympy.Poly(split.subs(c, -a), T).all_coeffs()
+    assert [sympy.expand(x) for x in split] == [b + d - a**2 + 6, a * d - a * b + alpha, b * d + 3]
+    squares = {(b, d): b + d + 6 for b, d in ((1, -3), (-1, 3), (3, -1), (-3, 1))}
+    assert squares == {(1, -3): 4, (-1, 3): 8, (3, -1): 8, (-3, 1): 4}
+    splits = {
+        (a, b, d): a * (b - d)
+        for (b, d), a2 in squares.items()
+        if math.isqrt(a2) ** 2 == a2
+        for a in (math.isqrt(a2), -math.isqrt(a2))
+    }
+    assert splits == {(2, 1, -3): 8, (-2, 1, -3): -8, (2, -3, 1): -8, (-2, -3, 1): 8}
+    for (a, b, d), value in splits.items():
+        assert PolyInt((b, a, 1)) * PolyInt((d, -a, 1)) == three_torsion_quartic(value)
+
+
 def test_field_discriminant_formula():
     assert field_discriminant(2) == -97200
+    assert all(discriminant(three_torsion_quartic(a)) == field_discriminant(a) for a in range(-50, 51))
+
+
+def test_field_discriminant_is_the_discriminant_in_z_alpha():
+    alpha, T = sympy.symbols("alpha T")
+    disc = sympy.discriminant(T**4 - 6 * T**2 - alpha * T - 3, T)
+    assert sympy.expand(disc - field_discriminant(alpha)) == 0
 
 
 # --- certify ------------------------------------------------------------------
@@ -490,6 +529,64 @@ def test_certify_proves_each_prime_once(monkeypatch):
     assert required == []
 
 
+def _mirrored(cert):
+    """What Phi_{-alpha}(T) = Phi_alpha(-T) keeps of a certificate: all but
+    alpha, the trust lines, the lifts and the polygon points."""
+    rows = [
+        (r.p, r.ind_p_lower_bound, r.exact, r.dedekind,
+         [(phi.a0_val, phi.polygon.sides, phi.ind_phi) for phi in r.per_phi])
+        for r in cert.primes
+    ]
+    return cert.verdict, cert.hypothesis_ok, cert.field_disc, cert.reduction_ok, cert.reason, rows
+
+
+def test_certify_of_minus_alpha_mirrors_certify_of_alpha():
+    # alpha - 8 of -alpha is -(alpha + 8), so the trust lines swap their labels
+    swap = {"alpha - 8": "alpha + 8", "alpha + 8": "alpha - 8"}
+    rng = random.Random("mirror")
+    trusted = 0
+    for alpha in [*range(1, 3001), *(rng.randrange(2**59, 2**61) for _ in range(200))]:
+        cert, mirror = certify(alpha), certify(-alpha)
+        assert _mirrored(mirror) == _mirrored(cert), alpha
+        swapped = [re.sub(r"alpha [-+] 8", lambda m: swap[m.group()], line) for line in mirror.trust]
+        assert sorted(swapped) == sorted(cert.trust), alpha
+        trusted += bool(cert.trust)
+    assert trusted > 50
+
+
+def test_reduction_ok_cases_under_the_hypothesis():
+    # reduction_ok = True, case by case (the comment at the end of certify).
+    # With alpha -+ 8 squarefree every bad prime of tate_curve(alpha, 1) has
+    # v = 1, so classify_odd reads only its case tag and p mod 4, and
+    # classify_two only v_2(alpha + 8) = 1.  The hypothesis alphas in
+    # [-3000, 3000] reach each case and no other.
+    expected = {
+        ("minus", 1): ("I_1", "tate1-2a"),
+        ("minus", 3): ("I_1", "tate1-2b"),
+        ("plus", 1): ("I*_1", "tate1-3a"),
+        ("plus", 3): ("I*_1", "tate1-3a"),
+        ("two", 1): ("I*_1", "tate2-1"),
+    }
+    seen = set()
+    for alpha in range(-3000, 3001):
+        if alpha in (8, -8):
+            continue
+        minus, plus = factor(alpha - 8), factor(alpha + 8)
+        if not (minus.is_squarefree() and plus.is_squarefree()):
+            continue
+        curve = tate_curve(alpha, 1)
+        for p in sorted(set(minus.primes() + plus.primes())):
+            if p == 2:
+                case, data = ("two", vp(alpha + 8, 2)), classify_two(alpha, 1)
+            else:
+                tag = singular_case(curve, p)
+                assert tag.v == 1, (alpha, p)
+                case, data = (tag.tag, p % 4), classify_odd(alpha, 1, p)
+            assert (str(data.kodaira), data.case_tag) == expected[case], (alpha, p)
+            seen.add(case)
+    assert seen == set(expected)
+
+
 def test_certify_odd_alpha_has_no_p2_row():
     cert = certify(3)
     assert cert.verdict == "monogenic"
@@ -630,6 +727,33 @@ def test_galois_signature_matches_resolvent_root_search():
         sig = galois_signature(alpha)
         assert sig.group == expected, alpha
         assert sig.real_roots == count_real_roots(f3), alpha
+
+
+def test_galois_resolvent_is_a_shifted_cube():
+    # the resolvent cubic of galois_signature, whose roots are the
+    # r1 r2 + r3 r4 over the pairings of the quartic's roots
+    alpha, x, T = sympy.symbols("alpha x T")
+    resolvent = x**3 + 6 * x**2 + 12 * x + 72 - alpha**2
+    assert sympy.expand(resolvent - ((x + 2) ** 3 - (alpha**2 - 64))) == 0
+    r = sympy.Poly(T**4 - 6 * T**2 - 5 * T - 3, T).nroots(n=40)
+    pairings = [r[0] * r[1] + r[2] * r[3], r[0] * r[2] + r[1] * r[3], r[0] * r[3] + r[1] * r[2]]
+    y = sympy.Symbol("y")
+    product = sympy.Poly(sympy.expand(sympy.prod(y - v for v in pairings)), y).all_coeffs()
+    expected = sympy.Poly(resolvent.subs({alpha: 5, x: y}), y).all_coeffs()
+    assert all(abs(complex(u - v)) < 1e-30 for u, v in zip(product, expected, strict=True))
+
+
+def test_galois_signature_matches_sympy_galois_group():
+    T = sympy.Symbol("T")
+    other = []
+    for alpha in range(-40, 41):
+        if alpha in (8, -8):
+            continue
+        group, _ = galois_group(sympy.Poly(T**4 - 6 * T**2 - alpha * T - 3, T), by_name=True)
+        expected = "S4" if group == S4TransitiveSubgroups.S4 else "other"
+        assert galois_signature(alpha).group == expected, alpha
+        other += [alpha] * (expected == "other")
+    assert other == [-24, 0, 24]
 
 
 def test_galois_signature_factors_nothing_large(monkeypatch):

@@ -126,6 +126,8 @@ class _Package:
             return self.annotation(node.left) | self.annotation(node.right)
         if isinstance(node, ast.Name) and node.id in self.bases:
             return frozenset({node.id})
+        if isinstance(node, ast.Attribute) and node.attr in self.bases:  # module.Class
+            return frozenset({node.attr})
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
             args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
             homogeneous = len(args) == 2 and isinstance(args[1], ast.Constant)
@@ -310,3 +312,25 @@ def test_every_public_name_has_a_caller():
             ):
                 uncalled.append(f"{path.stem}.{qualified}")
     assert uncalled == []
+
+
+def test_annotations_resolve_a_class_through_its_module():
+    # a member read through a parameter annotated Class or module.Class has
+    # that class as its owner; an unknown class leaves the owner unknown
+    package = _Package([ast.parse("class Box:\n    def size(self):\n        return 1\n")])
+    callers = ast.parse(
+        "def plain(b: Box):\n    return b.size()\n"
+        "def dotted(b: shapes.Box):\n    return b.size()\n"
+        "def quoted(b: 'shapes.Box'):\n    return b.size()\n"
+        "def unknown(b: shapes.Other):\n    return b.size()\n"
+    )
+    owners = {
+        fn.name: [owner for name, owner, _ in _reads(package, fn, {}) if name == "size"]
+        for fn in callers.body
+    }
+    assert owners == {
+        "plain": [{"Box"}],
+        "dotted": [{"Box"}],
+        "quoted": [{"Box"}],
+        "unknown": [set()],
+    }

@@ -268,3 +268,8 @@ def test_classify_and_singular_point_sweep_digests():
     )
     assert len(tags) == 16
     assert min(tags.values()) == tags["tate2-6biii"] == 4
+
+
+def test_geometric_components_of_every_kind():
+    kinds = (KodairaType("I", 4), KodairaType("I*", 1), KodairaType("III"), KodairaType("III*"), KodairaType("good"))
+    assert [k.geometric_components for k in kinds] == [4, 6, None, None, 1]
