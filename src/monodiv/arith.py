@@ -10,15 +10,16 @@ nothing.  Rho multiplies two steps into its product per reduction mod n.
 Everything is deterministic for a fixed input.  Primality is a strong
 probable-prime test to the first k prime bases, k read off the proven
 strong-pseudoprime bounds psi_k; below DETERMINISTIC_BOUND the test is
-labelled exact, above it a "prime" verdict counts as probable and
-factorizations record the caveat in ``Factorization.probable``.
+labelled exact, above it a "prime" verdict counts as probable, and
+``Factorization.probable`` reads those primes off the factors.  The blocks of
+primes are built once, at import.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
@@ -46,10 +47,6 @@ DETERMINISTIC_BOUND = 330_000_000_000_000
 
 _TRIAL_BOUND = 2**12
 _BLOCK_SIZE = 64
-_small_primes: list[int] | None = None
-# (first prime squared, product of the block, index of its first prime),
-# filled by small_primes()
-_prime_blocks: list[tuple[int, int, int]] = []
 
 
 def vp(x: int, p: int) -> int:
@@ -74,22 +71,22 @@ def vp_fraction(q: Fraction | int, p: int) -> int:
 
 
 def small_primes() -> list[int]:
-    """Primes below 2^12, sieved once and cached together with the blocks
-    of _BLOCK_SIZE consecutive primes that ``factor`` walks."""
-    global _small_primes
-    if _small_primes is None:
-        sieve = bytearray([1]) * _TRIAL_BOUND
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_TRIAL_BOUND) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        primes = [i for i in range(_TRIAL_BOUND) if sieve[i]]
-        _prime_blocks[:] = [
-            (primes[i] ** 2, math.prod(primes[i : i + _BLOCK_SIZE]), i)
-            for i in range(0, len(primes), _BLOCK_SIZE)
-        ]
-        _small_primes = primes
-    return _small_primes
+    """The primes below 2^12, the trial-division bound, by a fresh sieve of
+    Eratosthenes on each call."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(_TRIAL_BOUND) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(_TRIAL_BOUND) if sieve[i]]
+
+
+# (first prime squared, product, primes) of each block of _BLOCK_SIZE primes
+_PRIME_BLOCKS = tuple(
+    (block[0] ** 2, math.prod(block), block)
+    for primes in [tuple(small_primes())]
+    for block in (primes[i : i + _BLOCK_SIZE] for i in range(0, len(primes), _BLOCK_SIZE))
+)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -124,11 +121,6 @@ def require_prime(p: int) -> None:
     DETERMINISTIC_BOUND pass (certificates list them on ``trust``)."""
     if not is_probable_prime(p):
         raise MathDomainError(f"p = {p} is not a prime")
-
-
-def is_certified_prime(p: int) -> bool:
-    """True when the probable-prime verdict for p is known deterministic."""
-    return p < DETERMINISTIC_BOUND
 
 
 def _check_deadline(deadline: float | None, what: int) -> None:
@@ -216,13 +208,16 @@ def _brent_rho(n: int, deadline: float | None) -> int:
 class Factorization:
     """Signed prime factorization with strictly increasing primes.
 
-    ``probable`` lists any prime factors above the deterministic primality
-    bound; certificates surface these as trust caveats.
+    ``probable`` lists the prime factors at or above DETERMINISTIC_BOUND,
+    only probable primes; certificates surface these as trust caveats.
     """
 
     sign: int
     factors: tuple[tuple[int, int], ...]
-    probable: tuple[int, ...] = field(default=())
+
+    @property
+    def probable(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factors if p >= DETERMINISTIC_BOUND)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -234,11 +229,11 @@ class Factorization:
 def factor(x: int, budget_ms: int | None = None) -> Factorization:
     """Complete factorization of a nonzero integer.
 
-    Trial division below 2^12, which divides only by the blocks of primes
-    whose product shares a factor with n; a cofactor left below 2^24 is then
-    prime.  A larger one goes to deterministic Brent rho splitting with
-    probable-prime certification of the parts.  Only rho reads the budget,
-    so ``budget_ms=0`` still returns whenever no rho work remains:
+    Trial division walks the prime blocks built at import, dividing only by
+    a block whose product shares a factor with n; a cofactor left below 2^24
+    is then prime.  A larger one goes to deterministic Brent rho splitting
+    with probable-prime certification of the parts.  Only rho reads the
+    budget, so ``budget_ms=0`` still returns whenever no rho work remains:
     ``factor(4093 * 4099, budget_ms=0)`` returns, while 4099 * 4111, a
     composite above 2^24, needs rho and raises.  Raises BudgetExceededError
     rather than returning a partial answer.
@@ -249,15 +244,12 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
     sign = -1 if x < 0 else 1
     n = abs(x)
     found: dict[int, int] = {}
-    primes = small_primes()
-    for first_squared, product, start in _prime_blocks:
+    for first_squared, product, block in _PRIME_BLOCKS:
         if first_squared > n:
             break
         if math.gcd(n, product) == 1:
             continue
-        # indices, not a slice: a list per block raised peak RSS by ~0.2 MB
-        for i in range(start, min(start + _BLOCK_SIZE, len(primes))):
-            p = primes[i]
+        for p in block:
             if p * p > n:
                 break
             while n % p == 0:
@@ -268,13 +260,10 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
         found[n] = found.get(n, 0) + 1
         n = 1
     stack = [n] if n > 1 else []
-    probable: set[int] = set()
     while stack:
         m = stack.pop()
         if is_probable_prime(m):
             found[m] = found.get(m, 0) + 1
-            if not is_certified_prime(m):
-                probable.add(m)
             continue
         power = _perfect_power(m)
         if power is not None:
@@ -283,11 +272,7 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
             continue
         d = _brent_rho(m, deadline)
         stack.extend([d, m // d])
-    return Factorization(
-        sign=sign,
-        factors=tuple(sorted(found.items())),
-        probable=tuple(sorted(probable)),
-    )
+    return Factorization(sign=sign, factors=tuple(sorted(found.items())))
 
 
 def is_squarefree(x: int) -> bool:

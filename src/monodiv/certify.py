@@ -336,9 +336,8 @@ class GaloisSignature:
 
 def galois_signature(alpha: int) -> GaloisSignature:
     """S4 detection (resolvent cubic) and the number of real embeddings.
-    The discriminant -27 (alpha - 8)^2 (alpha + 8)^2 is negative, so never a
-    square, and the group is S4 iff the resolvent has no root; a real quartic
-    with negative discriminant has two real roots and one complex pair."""
+    The discriminant is negative (see below), so never a square, and the
+    group is S4 iff the resolvent has no root."""
     if alpha in (8, -8):
         raise MathDomainError("the quartic is reducible; no Galois group of a field")
     # the resolvent x^3 + 6x^2 + 12x + 72 - alpha^2 is (x + 2)^3 - (alpha^2 - 64)
@@ -346,6 +345,13 @@ def galois_signature(alpha: int) -> GaloisSignature:
     # alpha^2 - 64 is an integer cube [test_galois_signature_matches_sympy_galois_group]
     m = abs(alpha * alpha - 64)
     resolvent_has_root = _integer_nth_root(m, 3) ** 3 == m
+    # real_roots: a real quartic with distinct roots, s pairs of them complex
+    # conjugates, has sign(disc) = (-1)^s [test_discriminant_sign_counts_the_complex_conjugate_pairs].
+    # disc = -27 (alpha - 8)^2 (alpha + 8)^2 [test_field_discriminant_is_the_discriminant_in_z_alpha]
+    # with -disc/27 the square of a polynomial in Z[alpha] vanishing only at
+    # alpha = +-8 [test_minus_disc_over_27_is_a_square_vanishing_only_at_plus_minus_8],
+    # so for alpha != +-8 disc < 0, the roots are distinct, s is odd, s = 1 and
+    # two roots are real [test_galois_signature_matches_resolvent_root_search samples it].
     return GaloisSignature(
         group="other" if resolvent_has_root else "S4",
         real_roots=2,

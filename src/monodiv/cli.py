@@ -20,10 +20,6 @@ from .certify import scan as run_scan
 from .certify import survey_family
 from .errors import BudgetExceededError, MathDomainError, MonodivError
 
-# Largest division/Fueter index the CLI accepts: the cost of psi_n grows
-# steeply with n, and 41 is the largest n the layer measurements use.
-MAX_N = 41
-
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -43,8 +39,8 @@ def _bounded_n(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("n must be at least 1")
-    if n > MAX_N:
-        raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}")
+    if n > elliptic.MAX_N:
+        raise argparse.ArgumentTypeError(f"n must be at most {elliptic.MAX_N}")
     return n
 
 

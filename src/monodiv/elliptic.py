@@ -36,6 +36,17 @@ from .poly import PolyInt, PolyRat, _rat_from_integral
 
 _SINGULAR_TATE = "singular Tate parameters (Delta = 0)"
 
+# Largest division/Fueter index accepted: the cost of psi_n grows steeply
+# with n, and 41 is the largest n the layer measurements use.
+MAX_N = 41
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise MathDomainError("n must be positive")
+    if n > MAX_N:
+        raise MathDomainError(f"n must be at most {MAX_N}")
+
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -142,8 +153,7 @@ def _division_part(n: int, base3, base4, square, fueter_signs: bool):
     odd m.  The indices n reaches, about five per halving, are listed from n
     down, then built bottom-up in a table that dies with the call.
     """
-    if n < 1:
-        raise MathDomainError("n must be positive")
+    _check_n(n)
     need, todo = set(), [n]
     while todo:
         k = todo.pop()
@@ -278,8 +288,7 @@ def verdure_disc(n: int, delta: Fraction | int) -> Fraction:
     Even n (for the psi_2 cofactor of leading coefficient n/2):
     (-1)^((n-2)/2) 16 n^((n^2-12)/2) Delta^((n^4-10n^2+24)/24).
     """
-    if n < 1:
-        raise MathDomainError("n must be positive")
+    _check_n(n)
     delta = Fraction(delta)
     if n % 2:
         sign = -1 if ((n - 1) // 2) % 2 else 1

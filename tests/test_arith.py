@@ -369,32 +369,35 @@ def test_blocked_trial_division_matches_the_per_prime_loop_on_large_alphas():
         ), n
 
 
-class _TriedPrimes(list):
-    """The sieved primes, recording each prime that trial division reads."""
+class _TriedPrimes(tuple):
+    """One block's primes, recording in ``tried`` each prime that trial
+    division reads."""
 
-    def __init__(self, primes):
-        super().__init__(primes)
-        self.tried = []
+    def __new__(cls, primes, tried):
+        block = super().__new__(cls, primes)
+        block.tried = tried
+        return block
 
-    def __getitem__(self, index):
-        p = super().__getitem__(index)
-        self.tried.append(p)
-        return p
+    def __iter__(self):
+        for p in super().__iter__():
+            self.tried.append(p)
+            yield p
 
 
 def test_trial_division_stops_where_the_cofactor_falls_below_p_squared(monkeypatch):
     primes = small_primes()
-    tried = _TriedPrimes(primes)
-    monkeypatch.setattr(arith, "_small_primes", tried)
+    tried = []
+    blocks = tuple((sq, prod, _TriedPrimes(block, tried)) for sq, prod, block in arith._PRIME_BLOCKS)
+    monkeypatch.setattr(arith, "_PRIME_BLOCKS", blocks)
     for start in _first_middle_last_blocks():
         q, nxt = primes[start + 5], primes[start + 6]
         r = next(m for m in range(nxt + 2, nxt * nxt) if is_probable_prime(m))
-        tried.tried.clear()
+        tried.clear()
         assert factor(q * r).factors == ((q, 1), (r, 1))
         # only the blocks that share a factor with q*r are read, and within
         # q's block nothing past nxt, whose square exceeds the cofactor r
-        assert tried.tried[-1] == nxt
-        assert q in tried.tried
+        assert tried[-1] == nxt
+        assert q in tried
 
 
 def _random_prime(rng: random.Random, bits: int) -> int:

@@ -743,6 +743,35 @@ def test_galois_resolvent_is_a_shifted_cube():
     assert all(abs(complex(u - v)) < 1e-30 for u, v in zip(product, expected, strict=True))
 
 
+def test_minus_disc_over_27_is_a_square_vanishing_only_at_plus_minus_8():
+    alpha, T = sympy.symbols("alpha T")
+    q = sympy.Poly(-sympy.discriminant(T**4 - 6 * T**2 - alpha * T - 3, T) / 27, alpha)
+    assert q.domain == sympy.ZZ
+    content, factors = q.factor_list()
+    assert content == 1 and all(e % 2 == 0 for _, e in factors)
+    h = sympy.prod((f ** (e // 2) for f, e in factors), start=sympy.Poly(1, alpha))
+    assert h.domain == sympy.ZZ and h**2 == q
+    # every root over C, with multiplicity
+    assert sympy.roots(h) == {8: 1, -8: 1}
+
+
+def test_discriminant_sign_counts_the_complex_conjugate_pairs():
+    # a real quartic with distinct roots, s pairs of them complex conjugates,
+    # has sign(disc) = (-1)^s; here on quartics built from their roots
+    rng = random.Random("disc-sign")
+    for _ in range(300):
+        s = rng.randint(0, 2)
+        pairs = rng.sample([(a, b) for a in range(-5, 6) for b in range(1, 6)], s)
+        reals = rng.sample(range(-20, 21), 4 - 2 * s)
+        f = PolyInt((1,))
+        for a, b in pairs:
+            f = f * PolyInt((a * a + b * b, -2 * a, 1))
+        for r in reals:
+            f = f * PolyInt((-r, 1))
+        disc = discriminant(f)
+        assert disc != 0 and (disc > 0) == (s % 2 == 0), (pairs, reals)
+
+
 def test_galois_signature_matches_sympy_galois_group():
     T = sympy.Symbol("T")
     other = []

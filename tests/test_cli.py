@@ -368,6 +368,24 @@ def test_budget_exit_code():
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--alpha", "2", "--beta", "1", "--prime", "5"),
+        ("reduce", "--alpha", "2", "--beta", "1", "--prime", "7"),
+        ("certify", "--alpha", str((2**61 - 1) * 1152921504606847009 + 8), "--budget-ms", "1"),
+    ],
+)
+def test_main_exits_with_the_code_run_returns(argv, monkeypatch, capsys):
+    code = run(list(argv))
+    expected = capsys.readouterr()
+    monkeypatch.setattr("sys.argv", ["monodiv", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert capsys.readouterr() == expected
+
+
 def test_certify_budget_exit_code():
     # alpha - 8 is a 122-bit semiprime; certify reports its own budget reason
     alpha = (2**61 - 1) * 1152921504606847009 + 8

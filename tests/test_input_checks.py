@@ -9,15 +9,27 @@ from monodiv import (
     PolyModP,
     classify_odd,
     factor_mod_p,
+    fueter,
     fueter_disc,
+    fueter_value,
     phi_development,
+    psi,
+    psi_fueter_identity_check,
+    psi_value,
     resultant,
+    tate_curve,
     verdure_disc,
 )
 from monodiv.arith import factor, is_squarefree, legendre, vp
 from monodiv.certify import is_irreducible_quartic
 from monodiv.cli import run
+from monodiv.elliptic import MAX_N
 from monodiv.poly import PolyFq
+from monodiv.valuation import observed_fueter_valuation, observed_psi_valuation, singular_case
+
+CURVE = tate_curve(-7, 3)
+# the least odd n above MAX_N, for the calls that reject even n first
+ODD_PAST_MAX = MAX_N + 1 + MAX_N % 2
 
 CASES = [
     pytest.param(lambda: vp(12, 1), ValueError, id="vp-p-below-2"),
@@ -29,6 +41,25 @@ CASES = [
     ),
     pytest.param(lambda: verdure_disc(0, 1), MathDomainError, id="verdure_disc-n-0"),
     pytest.param(lambda: fueter_disc(4, 2, 1), MathDomainError, id="fueter_disc-even-n"),
+    pytest.param(lambda: psi(CURVE.weierstrass, MAX_N + 1), MathDomainError, id="psi-n-past-max"),
+    pytest.param(lambda: fueter(CURVE, MAX_N + 1), MathDomainError, id="fueter-n-past-max"),
+    pytest.param(lambda: psi_value(CURVE.weierstrass, MAX_N + 1, 2), MathDomainError, id="psi_value-n-past-max"),
+    pytest.param(lambda: fueter_value(CURVE, MAX_N + 1, 2), MathDomainError, id="fueter_value-n-past-max"),
+    pytest.param(lambda: verdure_disc(MAX_N + 1, 5), MathDomainError, id="verdure_disc-n-past-max"),
+    pytest.param(lambda: fueter_disc(ODD_PAST_MAX, -7, 3), MathDomainError, id="fueter_disc-n-past-max"),
+    pytest.param(
+        lambda: psi_fueter_identity_check(CURVE, ODD_PAST_MAX, 2), MathDomainError, id="identity-check-n-past-max"
+    ),
+    pytest.param(
+        lambda: observed_psi_valuation(CURVE, singular_case(CURVE, 3), ODD_PAST_MAX),
+        MathDomainError,
+        id="observed_psi_valuation-n-past-max",
+    ),
+    pytest.param(
+        lambda: observed_fueter_valuation(CURVE, singular_case(CURVE, 3), ODD_PAST_MAX),
+        MathDomainError,
+        id="observed_fueter_valuation-n-past-max",
+    ),
     pytest.param(lambda: PolyInt(()).lc, MathDomainError, id="lc-of-zero"),
     pytest.param(lambda: PolyInt((1, 1)).divrem(PolyInt(())), MathDomainError, id="divrem-by-zero"),
     pytest.param(lambda: PolyInt(()).gcd(PolyInt(())), MathDomainError, id="gcd-zero-zero"),

@@ -130,6 +130,34 @@ def test_polyfq_equality_reads_the_modulus():
     assert a == b and hash(a) == hash(b)
 
 
+def test_polymodp_value_at_an_integer_is_the_sum_mod_p():
+    f = PolyModP(7, (3, 5, 1, 6))
+    for x in (-20, -8, -1, 0, 3, 7, 13, 100, 10**12 + 1):
+        value = f(x)
+        assert 0 <= value < 7, x
+        assert value == sum(c * x**i for i, c in enumerate(f.coeffs)) % 7, x
+
+
+def test_polyfq_value_at_a_polymodp_point_is_the_sum_mod_phi():
+    # x^2 + 2 is irreducible over F_5 (-2 is not a square mod 5)
+    phi = PolyModP(5, (2, 0, 1))
+    g = PolyFq(phi, (PolyModP(5, (1, 2)), PolyModP(5, (3,)), PolyModP(5, (4, 1)), PolyModP(5, (0, 3))))
+    for z in (PolyModP(5, (1, 3, 4)), PolyModP(5, (2, 0, 0, 1)), PolyModP(5, (4,))):
+        total = PolyModP(5, ())
+        for i, c in enumerate(g.coeffs):
+            total = total + c * z**i
+        value = g(z)
+        assert value == total % phi, z
+        assert value.degree < phi.degree, z
+
+
+def test_reprs_of_the_rational_and_extension_polynomials():
+    assert repr(PolyRat((Fraction(1, 2), 0, -3))) == "PolyRat(['1/2', '0', '-3'])"
+    phi = PolyModP(3, (1, 0, 1))
+    f = PolyFq(phi, (PolyModP(3, (2, 1)), PolyModP(3, (1,))))
+    assert repr(f) == "PolyFq(PolyModP(3, [1, 0, 1]), [PolyModP(3, [2, 1]), PolyModP(3, [1])])"
+
+
 def _old_lcm_form(coeffs):
     """(num, den) of a nonzero or zero rational polynomial as PolyRat's
     former clear_denominators gave it: the lcm of the reduced denominators,
