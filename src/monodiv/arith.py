@@ -286,6 +286,7 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p."""
     if p == 2 or p < 2:
         raise ValueError("p must be an odd prime")
+    require_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 

@@ -12,7 +12,7 @@ closed form, with the proof in a comment, and falls back to the generic
 satisfying the hypothesis reaches.  The closed-form row is written from the
 proof, not re-derived: the polygon is its one side with no hull built, and
 the row is regular because the proof's residual is linear, so no F_p object
-is built; `_row_json` writes a one-lift row as one dict.  The output is the same
+is built; `_row_json` spreads a lone lift's entry into the row.  The output is the same
 as the generic construction's, byte for byte.  `montes_certificate`, and with
 it the survey, runs the generic pass at every prime, as the `index` command
 does.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import _budget_left, _integer_nth_root, divisors, factor, vp
 from .errors import BudgetExceededError, MathDomainError
@@ -114,7 +114,7 @@ class MonogenicityCertificate:
     hypothesis_ok: bool
     field_disc: int | None = None
     primes: tuple[IndexReport, ...] = ()
-    trust: tuple[str, ...] = field(default=())
+    trust: tuple[str, ...] = ()
     reduction_ok: bool | None = None
     reason: str | None = None
 
@@ -137,23 +137,13 @@ class MonogenicityCertificate:
 
 def _row_json(report: IndexReport) -> dict:
     """The schema-v1 row of one prime; several lifts go under "phis"."""
-    if len(report.per_phi) == 1:
-        r = report.per_phi[0]
-        return {
-            "p": report.p,
-            "lift": r.phi.to_text(),
-            "a0_val": r.a0_val,
-            "polygon": r.polygon.to_json_dict(ind=r.ind_phi),
-            "ind_p": report.ind_p_lower_bound,
-            "exact": report.exact,
-            "dedekind": report.dedekind,
-        }
     phis = [
         {"lift": r.phi.to_text(), "a0_val": r.a0_val, "polygon": r.polygon.to_json_dict(ind=r.ind_phi)}
         for r in report.per_phi
     ]
+    entry = phis[0] if len(phis) == 1 else {"lift": None, "a0_val": None, "polygon": None, "phis": phis}
     return {
-        "p": report.p, "lift": None, "a0_val": None, "polygon": None, "phis": phis,
+        "p": report.p, **entry,
         "ind_p": report.ind_p_lower_bound, "exact": report.exact, "dedekind": report.dedekind,
     }
 
@@ -252,7 +242,7 @@ def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
     values = [vp(c, p) if c else None for c in _taylor(alpha, t0)]
     e = values.index(0)
     if values[0] != 1 or e < f3.degree - 1:
-        return index_report(f3, p, lifts=[lift])
+        return index_report(f3, p, lift=lift)
     polygon = NewtonPolygon(tuple(enumerate(values)), (PolygonSide(0, 1, e, 0, 1),))
     phi_report = PhiReport(lift, e, polygon, 1, 0, True)
     return IndexReport(p, (phi_report,), 0, True, True)
@@ -298,7 +288,7 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
 
 def montes_certificate(
     poly: PolyInt,
-    alpha: int | None = None,
+    alpha: int = 0,
     budget_ms: int | None = None,
 ) -> MonogenicityCertificate:
     """Curve-blind Montes pass over the primes of disc(poly), default lifts.
@@ -306,7 +296,6 @@ def montes_certificate(
     Primes with v_p(disc) < 2 are skipped: disc = index^2 * disc_K, so they
     cannot divide the index.
     """
-    label = alpha if alpha is not None else 0
     disc = discriminant(poly)
     if disc == 0:
         raise MathDomainError("polynomial must be squarefree over Q")
@@ -315,17 +304,17 @@ def montes_certificate(
     try:
         if not is_irreducible_quartic(poly, budget_ms=budget_ms):
             return MonogenicityCertificate(
-                label, "hypothesis_failed", False, reason="the quartic is reducible over Q"
+                alpha, "hypothesis_failed", False, reason="the quartic is reducible over Q"
             )
         irreducible = True
         fact = factor(int(disc), budget_ms=_budget_left(budget_ms, start))
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
-            label, "not_certified", irreducible, reason=f"factorization budget exceeded: {exc}"
+            alpha, "not_certified", irreducible, reason=f"factorization budget exceeded: {exc}"
         )
     trust = tuple(f"prime {q} of disc is probable, not certified" for q in fact.probable)
     reports = [index_report(poly, p) for p in fact.primes() if vp(int(disc), p) >= 2]
-    return _certificate(label, reports, int(disc), trust)
+    return _certificate(alpha, reports, int(disc), trust)
 
 
 @dataclass(frozen=True)
@@ -392,22 +381,23 @@ class FamilyEntry:
     verdict: str | None
 
 
+# family: (quartic, squared factor sq, k), with discriminant -27 k sq^2
 _FAMILIES = {
-    "A": {
-        "poly": lambda s, t: PolyInt((-3 * s * s, -t, -6 * s, 0, 1)),
-        "factor": lambda s, t: t * t - 64 * s**3,
-        "disc": lambda s, t, sq: -27 * sq * sq,
-    },
-    "B": {
-        "poly": lambda s, t: PolyInt((t, -(4 * t + 3 * s * s), -3 * s, -1, 1)),
-        "factor": lambda s, t: 16 * t * t + (24 * s * s + 12 * s + 1) * t + 9 * s**4 + s**3,
-        "disc": lambda s, t, sq: -27 * sq * sq,
-    },
-    "C": {
-        "poly": lambda s, t: PolyInt((t, -(2 * t + 6 * s * s), -6 * s, -2, 1)),
-        "factor": lambda s, t: t * t + (6 * s * s + 6 * s + 1) * t + 9 * s**4 + 2 * s**3,
-        "disc": lambda s, t, sq: -16 * 27 * sq * sq,
-    },
+    "A": (
+        lambda s, t: PolyInt((-3 * s * s, -t, -6 * s, 0, 1)),
+        lambda s, t: t * t - 64 * s**3,
+        1,
+    ),
+    "B": (
+        lambda s, t: PolyInt((t, -(4 * t + 3 * s * s), -3 * s, -1, 1)),
+        lambda s, t: 16 * t * t + (24 * s * s + 12 * s + 1) * t + 9 * s**4 + s**3,
+        1,
+    ),
+    "C": (
+        lambda s, t: PolyInt((t, -(2 * t + 6 * s * s), -6 * s, -2, 1)),
+        lambda s, t: t * t + (6 * s * s + 6 * s + 1) * t + 9 * s**4 + 2 * s**3,
+        16,
+    ),
 }
 
 
@@ -421,14 +411,14 @@ def survey_family(
     over an (s, t) grid of one of the three experimental families."""
     if family not in _FAMILIES:
         raise MathDomainError("family must be one of A, B, C")
-    spec = _FAMILIES[family]
+    quartic, squared_factor, k = _FAMILIES[family]
     out = []
     start = time.monotonic()  # one deadline for the whole request
     for s in range(s_range[0], s_range[1] + 1):
         for t in range(t_range[0], t_range[1] + 1):
-            poly = spec["poly"](s, t)
-            sq = spec["factor"](s, t)
-            predicted = spec["disc"](s, t, sq)
+            poly = quartic(s, t)
+            sq = squared_factor(s, t)
+            predicted = -27 * k * sq * sq
             actual = discriminant(poly)
             disc_ok = actual == predicted
             verdict = None

@@ -133,8 +133,8 @@ def _cmd_newton(args):
 
 def _cmd_index(args):
     Phi = poly.PolyInt.from_text(args.poly)
-    lifts = [poly.PolyInt.from_text(args.phi)] if args.phi else None
-    report = newton.index_report(Phi, args.prime, lifts=lifts)
+    lift = poly.PolyInt.from_text(args.phi) if args.phi else None
+    report = newton.index_report(Phi, args.prime, lift=lift)
     data = {
         "p": report.p,
         "ind_p_lower_bound": report.ind_p_lower_bound,

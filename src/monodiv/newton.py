@@ -131,6 +131,7 @@ def residual_polynomial(dev: PhiDevelopment, p: int, side: PolygonSide) -> PolyF
     """R_S(y) = sum res(x0 + i*step) y^i over F_p[x]/(phi-bar), with res the
     reduction mod p of a_j / p^(v_p(a_j)) when the point lies on the side,
     else 0."""
+    require_prime(p)
     step_x = (side.x1 - side.x0) // side.degree
     step_y = (side.y1 - side.y0) // side.degree
     coeffs = []
@@ -175,15 +176,15 @@ class IndexReport:
 def index_report(
     Phi: PolyInt,
     p: int,
-    lifts: list[PolyInt] | None = None,
+    lift: PolyInt | None = None,
     factors: list[tuple[PolyModP, int]] | None = None,
 ) -> IndexReport:
     """Run the first-order polygon analysis of Phi at p.
 
     Only repeated factors mod p (exponent >= 2) get polygons; simple factors
-    provably contribute 0 and are regular.  Supplied lifts override the
-    default least-non-negative lifts after validation; two lifts of one
-    factor mod p raise MathDomainError.  A supplied ``factors`` witness, the
+    provably contribute 0 and are regular.  A supplied ``lift``, once
+    validated, replaces the least-non-negative lift of its own factor mod p;
+    every other factor keeps its default lift.  A supplied ``factors`` witness, the
     factorization of Phi mod p as (factor, multiplicity) pairs, is checked
     and used in place of `factor_mod_p`; a wrong witness raises
     MathDomainError.
@@ -200,26 +201,18 @@ def index_report(
     else:
         factors = _checked_factorization(p, factors)
     dedekind = _dedekind(Phi, p, factors)  # also checks a witness's product
-    lift_map = {}
-    for L in lifts or ():
-        if not L.is_monic:
+    if lift is not None:
+        if not lift.is_monic:
             raise MathDomainError("supplied lift must be monic")
-        L_bar = L.reduce_mod(p)
-        if not any(fac == L_bar for fac, _ in factors):
-            raise MathDomainError(
-                "supplied lift is not congruent to an irreducible factor mod p"
-            )
-        if L_bar in lift_map:
-            raise MathDomainError(
-                f"two supplied lifts reduce to the same factor {L_bar.to_text()} mod p"
-            )
-        lift_map[L_bar] = L
+        lift_bar = lift.reduce_mod(p)
+        if not any(fac == lift_bar for fac, _ in factors):
+            raise MathDomainError("supplied lift is not congruent to an irreducible factor mod p")
     reports = []
     for fac, e in factors:
         if e < 2:
             continue
-        lift = lift_map.get(fac, fac.lift())
-        dev = phi_development(Phi, lift)
+        phi = lift if lift is not None and fac == lift_bar else fac.lift()
+        dev = phi_development(Phi, phi)
         values = [t.min_valuation(p) for t in dev.terms]
         # a_0 = 0 means the lift divides Phi over Z; the polygon over the
         # remaining finite points still carries the index count.
@@ -227,11 +220,11 @@ def index_report(
         resids = tuple(residual_polynomial(dev, p, s) for s in polygon.sides)
         reports.append(
             PhiReport(
-                phi=lift,
+                phi=phi,
                 exponent=e,
                 polygon=polygon,
                 a0_val=values[0],
-                ind_phi=ind_phi(polygon, lift.degree),
+                ind_phi=ind_phi(polygon, phi.degree),
                 regular=all(r.is_separable() for r in resids),
             )
         )

@@ -294,7 +294,7 @@ def test_dedekind_at_p_dividing_alpha_minus_8_is_the_hypothesis():
             if p < 5:
                 continue
             lift, factors = closed_form(alpha, p)
-            rep = index_report(three_torsion_quartic(alpha), p, lifts=[lift], factors=factors)
+            rep = index_report(three_torsion_quartic(alpha), p, lift=lift, factors=factors)
             assert rep.dedekind == (vp(alpha - 8, p) < 2), (alpha, p)
             outcomes.append(rep.dedekind)
     assert outcomes.count(False) > 50 and outcomes.count(True) > 1000
@@ -303,7 +303,7 @@ def test_dedekind_at_p_dividing_alpha_minus_8_is_the_hypothesis():
 def _row_cases(monkeypatch, alphas):
     """(alpha, p, row, whether _row fell back to index_report, whether
     alpha -+ 8 is squarefree) at every prime certify visits.  A fallback is
-    index_report(f3, p, lifts=[lift]) at the lift of closed_form; every other
+    index_report(f3, p, lift=lift) at the lift of closed_form; every other
     row's polygon is the hull of its own points, one per coefficient."""
     fallbacks = []
 
@@ -320,7 +320,7 @@ def _row_cases(monkeypatch, alphas):
             fallbacks.clear()
             row = _row(f3, alpha, p)
             lift, _ = closed_form(alpha, p)
-            assert fallbacks in ([], [((f3, p), {"lifts": [lift]})]), (alpha, p)
+            assert fallbacks in ([], [((f3, p), {"lift": lift})]), (alpha, p)
             if not fallbacks:
                 points = row.per_phi[0].polygon.points
                 assert [j for j, _ in points] == list(range(f3.degree + 1))
@@ -343,7 +343,7 @@ def test_row_matches_index_report_at_every_prime(monkeypatch):
     for alpha, p, row, fell_back, hypothesis in _row_cases(monkeypatch, alphas):
         lift, factors = closed_form(alpha, p)
         f3 = three_torsion_quartic(alpha)
-        assert row == index_report(f3, p, lifts=[lift], factors=factors), (alpha, p)
+        assert row == index_report(f3, p, lift=lift, factors=factors), (alpha, p)
         assert not (hypothesis and fell_back), (alpha, p)
         if not hypothesis:
             branches["fallback" if fell_back else "fast"] += 1
@@ -359,8 +359,8 @@ def test_row_matches_index_report_on_seeded_large_alphas(monkeypatch):
     for alpha, p, row, fell_back, hypothesis in _row_cases(monkeypatch, alphas):
         lift, factors = closed_form(alpha, p)
         f3 = three_torsion_quartic(alpha)
-        assert row == index_report(f3, p, lifts=[lift]), (alpha, p)
-        assert row == index_report(f3, p, lifts=[lift], factors=factors), (alpha, p)
+        assert row == index_report(f3, p, lift=lift), (alpha, p)
+        assert row == index_report(f3, p, lift=lift, factors=factors), (alpha, p)
         assert not (hypothesis and fell_back), (alpha, p)
         branches[hypothesis, fell_back] += 1
     assert branches[True, False] > 1000 and branches[False, True] > 10

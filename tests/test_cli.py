@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,19 @@ def test_fueter_golden():
     code, out, _ = invoke("fueter", "--alpha", "2", "--beta", "1", "--n", "3")
     assert code == 0
     assert out == "-3,-2,-6,0,1\n"
+
+
+def test_readme_cli_block_runs():
+    # every command of the ```sh block under README's "## CLI" exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.strip().splitlines()
+    assert len(lines) == 10 and all(line.startswith("monodiv ") for line in lines)
+    for line in lines:
+        code, out, err = invoke(*shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        if line.startswith("monodiv fueter"):
+            assert out == line.split("#")[1].strip() + "\n" == "-3,-2,-6,0,1\n"
 
 
 def test_fueter_even_json_golden():

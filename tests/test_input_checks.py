@@ -24,6 +24,7 @@ from monodiv.arith import factor, is_squarefree, legendre, vp
 from monodiv.certify import is_irreducible_quartic
 from monodiv.cli import run
 from monodiv.elliptic import MAX_N
+from monodiv.newton import PolygonSide, residual_polynomial
 from monodiv.poly import PolyFq
 from monodiv.valuation import observed_fueter_valuation, observed_psi_valuation, singular_case
 
@@ -36,6 +37,14 @@ CASES = [
     pytest.param(lambda: factor(0), ValueError, id="factor-zero"),
     pytest.param(lambda: is_squarefree(0), ValueError, id="is_squarefree-zero"),
     pytest.param(lambda: legendre(3, 2), ValueError, id="legendre-p-2"),
+    pytest.param(lambda: legendre(2, 9), MathDomainError, id="legendre-composite-9"),
+    pytest.param(lambda: legendre(3, 15), MathDomainError, id="legendre-composite-15"),
+    pytest.param(
+        # x^2 + 4 at "p" = 4 has the side (0, 1)-(2, 0) in x
+        lambda: residual_polynomial(phi_development(PolyInt((4, 0, 1)), PolyInt((0, 1))), 4, PolygonSide(0, 1, 2, 0, 1)),
+        MathDomainError,
+        id="residual_polynomial-composite-4",
+    ),
     pytest.param(
         lambda: is_irreducible_quartic(PolyInt((1, 0, 1))), MathDomainError, id="quartic-test-on-a-quadratic"
     ),

@@ -181,15 +181,15 @@ def test_residual_rejects_foreign_side():
 
 
 def test_index_report_guided_examples():
-    rep = index_report(F3(2), 2, lifts=[T_MINUS(1)])
+    rep = index_report(F3(2), 2, lift=T_MINUS(1))
     assert rep.ind_p_lower_bound == 0 and rep.exact
     assert rep.per_phi[0].a0_val == 1
 
-    rep = index_report(F3(3), 3, lifts=[PolyInt((0, 1))])
+    rep = index_report(F3(3), 3, lift=PolyInt((0, 1)))
     assert rep.ind_p_lower_bound == 0 and rep.exact
     assert rep.per_phi[0].a0_val == 1  # F3(0) = -3
 
-    rep = index_report(F3(13), 3, lifts=[T_MINUS(4)])
+    rep = index_report(F3(13), 3, lift=T_MINUS(4))
     assert rep.ind_p_lower_bound == 0 and rep.exact
     assert F3(13)(4) == 105
     assert rep.per_phi[0].a0_val == 1
@@ -197,7 +197,7 @@ def test_index_report_guided_examples():
 
 def test_index_report_rejects_bad_lift():
     with pytest.raises(MathDomainError):
-        index_report(F3(2), 2, lifts=[PolyInt((0, 1))])  # x is not a factor mod 2
+        index_report(F3(2), 2, lift=PolyInt((0, 1)))  # x is not a factor mod 2
 
 
 def test_index_report_requires_squarefree():
@@ -215,7 +215,7 @@ def test_index_report_simple_factors_skipped():
 def test_index_report_exact_root_lift():
     # x divides x^2 + 4x exactly; polygon is built from the remaining points
     f = PolyInt((0, 4, 1))
-    rep = index_report(f, 2, lifts=[PolyInt((0, 1))])
+    rep = index_report(f, 2, lift=PolyInt((0, 1)))
     assert rep.ind_p_lower_bound == 2 and rep.exact
     assert rep.per_phi[0].a0_val is None
     assert not dedekind_p_maximal(f, 2)
@@ -223,7 +223,7 @@ def test_index_report_exact_root_lift():
     assert discriminant(f) == 16
 
     g = PolyInt((0, 8, 6, 1))  # x(x+2)(x+4), disc 256, index 2^4
-    rep = index_report(g, 2, lifts=[PolyInt((0, 1))])
+    rep = index_report(g, 2, lift=PolyInt((0, 1)))
     assert rep.ind_p_lower_bound == 4 and rep.exact
 
 
@@ -231,31 +231,22 @@ def test_index_report_lift_choice():
     # x^2 + 4x at p = 2: lift x is exact with the true index, lift x + 2
     # yields an inseparable residual and only an inexact lower bound
     f = PolyInt((0, 4, 1))
-    exact = index_report(f, 2, lifts=[PolyInt((0, 1))])
+    exact = index_report(f, 2, lift=PolyInt((0, 1)))
     assert (exact.ind_p_lower_bound, exact.exact) == (2, True)
-    inexact = index_report(f, 2, lifts=[PolyInt((2, 1))])
+    inexact = index_report(f, 2, lift=PolyInt((2, 1)))
     assert (inexact.ind_p_lower_bound, inexact.exact) == (1, False)
-
-
-def test_index_report_rejects_two_lifts_of_one_factor():
-    # x and x + 2 are both lifts of x mod 2; keeping either one would make
-    # the answer depend on the order of the list (exact 2 or bound 1)
-    f = PolyInt((0, 4, 1))
-    for lifts in ([PolyInt((0, 1)), PolyInt((2, 1))], [PolyInt((2, 1)), PolyInt((0, 1))]):
-        with pytest.raises(MathDomainError, match="same factor 0,1 mod p"):
-            index_report(f, 2, lifts=lifts)
 
 
 def test_index_report_lift_invariance_when_exact():
     # two different lifts of T - 1 mod 2 give the same exact answer
     for lift in (T_MINUS(1), T_MINUS(3), PolyInt((5, 1))):
-        rep = index_report(F3(2), 2, lifts=[lift])
+        rep = index_report(F3(2), 2, lift=lift)
         assert (rep.ind_p_lower_bound, rep.exact) == (0, True)
     # the same holds for a positive index: x and x + 4 both divide x^2 + 4x
     # exactly and give the identical exact bound 2
     f = PolyInt((0, 4, 1))
     for lift in (PolyInt((0, 1)), PolyInt((4, 1))):
-        rep = index_report(f, 2, lifts=[lift])
+        rep = index_report(f, 2, lift=lift)
         assert (rep.ind_p_lower_bound, rep.exact) == (2, True)
 
 
@@ -298,6 +289,15 @@ def test_index_report_two_repeated_factors():
     ]
     assert (rep.ind_p_lower_bound, rep.exact) == (2, True)
     assert not dedekind_p_maximal(f, 3)
+    # a supplied lift replaces only its own factor's lift; the other factor
+    # keeps its least-non-negative lift
+    for lift, per_phi in (
+        (PolyInt((3, 1)), [("3,1", 2, 1), ("1,1", 2, 1)]),
+        (PolyInt((-2, 1)), [("0,1", 2, 1), ("-2,1", 2, 1)]),
+    ):
+        rep = index_report(f, 3, lift=lift)
+        assert [(pr.phi.to_text(), pr.exponent, pr.ind_phi) for pr in rep.per_phi] == per_phi
+        assert (rep.ind_p_lower_bound, rep.exact) == (2, True)
 
 
 # --- factorization witnesses --------------------------------------------------
@@ -326,7 +326,7 @@ def test_index_report_rejects_wrong_witness(witness, reason):
     good = _mod(3, ((2, 1), 3), ((0, 1), 1))
     assert index_report(F3(13), 3, factors=good) == index_report(F3(13), 3)
     with pytest.raises(MathDomainError, match=reason):
-        index_report(F3(13), 3, lifts=[T_MINUS(4)], factors=witness)
+        index_report(F3(13), 3, lift=T_MINUS(4), factors=witness)
 
 
 def test_witness_path_matches_factor_mod_p_path():
