@@ -138,7 +138,8 @@ class MonogenicityCertificate:
 def _row_json(report: IndexReport) -> dict:
     """The schema-v1 row of one prime; several lifts go under "phis"."""
     phis = [
-        {"lift": r.phi.to_text(), "a0_val": r.a0_val, "polygon": r.polygon.to_json_dict(ind=r.ind_phi)}
+        {"lift": r.phi.to_text(), "a0_val": r.a0_val,
+         "polygon": {**r.polygon.to_json_dict(), "ind_phi": r.ind_phi}}
         for r in report.per_phi
     ]
     entry = phis[0] if len(phis) == 1 else {"lift": None, "a0_val": None, "polygon": None, "phis": phis}
@@ -225,11 +226,11 @@ def _taylor(alpha, t0) -> tuple:
 #   mod 9, and 9 | alpha -+ 1 iff 9 | alpha +- 8
 #   [test_row_proof_at_every_class_mod_p2, for p = 2 and p = 3].
 # So `index_report`, the generic pass, only builds the rows of other alphas.
-def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
-    """The `IndexReport` of the quartic f3 = three_torsion_quartic(alpha) at a
-    prime p of its certificate (3 or a prime of alpha -+ 8), at the lift
-    T - t0 of the curve analysis.  Built in closed form when the hypothesis
-    holds at p; `index_report` otherwise."""
+def _row(alpha: int, p: int) -> IndexReport:
+    """The `IndexReport` of three_torsion_quartic(alpha) at a prime p of its
+    certificate (3 or a prime of alpha -+ 8), at the lift T - t0 of the curve
+    analysis.  Built in closed form when the hypothesis holds at p;
+    `index_report` otherwise."""
     if p == 2:
         t0 = 1
     elif p == 3:
@@ -241,8 +242,8 @@ def _row(f3: PolyInt, alpha: int, p: int) -> IndexReport:
     lift = PolyInt((-t0, 1))
     values = [vp(c, p) if c else None for c in _taylor(alpha, t0)]
     e = values.index(0)
-    if values[0] != 1 or e < f3.degree - 1:
-        return index_report(f3, p, lift=lift)
+    if values[0] != 1 or e < 3:  # 3 = deg Phi - 1
+        return index_report(three_torsion_quartic(alpha), p, lift=lift)
     polygon = NewtonPolygon(tuple(enumerate(values)), (PolygonSide(0, 1, e, 0, 1),))
     phi_report = PhiReport(lift, e, polygon, 1, 0, True)
     return IndexReport(p, (phi_report,), 0, True, True)
@@ -273,11 +274,10 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
             alpha, "hypothesis_failed", False, trust=trust,
             reason="alpha - 8 or alpha + 8 is not squarefree",
         )
-    # alpha != +-8, so the quartic is irreducible (see three_torsion_quartic)
-    f3 = three_torsion_quartic(alpha)
+    # alpha != +-8, so the quartic is irreducible (see three_torsion_quartic);
     # 2 divides alpha -+ 8 exactly when alpha is even
     bad = set(fact_minus.primes() + fact_plus.primes())
-    reports = [_row(f3, alpha, p) for p in sorted({3} | bad)]
+    reports = [_row(alpha, p) for p in sorted({3} | bad)]
     # reduction_ok: squarefree alpha -+ 8 gives v = 1 at every bad prime of
     # tate_curve(alpha, 1), so classify_odd finds I_1 (case "minus") or I*_1
     # (case "plus", v odd: tate1-3a), and an even alpha has v_2(alpha + 8) = 1,
@@ -313,7 +313,7 @@ def montes_certificate(
             alpha, "not_certified", irreducible, reason=f"factorization budget exceeded: {exc}"
         )
     trust = tuple(f"prime {q} of disc is probable, not certified" for q in fact.probable)
-    reports = [index_report(poly, p) for p in fact.primes() if vp(int(disc), p) >= 2]
+    reports = [index_report(poly, p) for p, e in fact.factors if e >= 2]
     return _certificate(alpha, reports, int(disc), trust)
 
 

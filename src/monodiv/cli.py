@@ -53,6 +53,8 @@ def _budget_ms(text: str) -> int:
 
 def _curve_from_args(args) -> elliptic.WeierstrassCurve:
     if args.a_invariants:
+        if args.alpha is not None or args.beta is not None:
+            raise MathDomainError("provide --alpha/--beta or --a-invariants, not both")
         vals = [Fraction(part) for part in args.a_invariants.split(",")]
         if len(vals) != 5:
             raise MathDomainError("--a-invariants needs a1,a2,a3,a4,a6")
@@ -128,7 +130,7 @@ def _cmd_newton(args):
             f"slope {side.slope_text} degree {side.degree}"
         )
     lines.append(f"ind_phi = {ind}")
-    return polygon.to_json_dict(ind=ind), "\n".join(lines)
+    return {**polygon.to_json_dict(), "ind_phi": ind}, "\n".join(lines)
 
 
 def _cmd_index(args):
@@ -163,16 +165,12 @@ def _cmd_index(args):
     return data, "\n".join(lines)
 
 
-class _BudgetVerdict(BudgetExceededError):
-    """certify's own budget verdict: its reason is the whole stderr line."""
-
-
 def _cmd_certify(args):
     cert = run_certify(args.alpha, budget_ms=args.budget_ms)
     # certify returns not_certified with its hypothesis undecided only when
     # the budget ran out while factoring alpha -+ 8
     if cert.verdict == "not_certified" and not cert.hypothesis_ok:
-        raise _BudgetVerdict(cert.reason)
+        raise BudgetExceededError(cert.reason)
     lines = [f"alpha = {cert.alpha}: {cert.verdict}"]
     if cert.field_disc is not None:
         lines.append(f"  field discriminant = {cert.field_disc}")
@@ -327,8 +325,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         data, text = args.func(args)
     except BudgetExceededError as exc:
-        line = exc if isinstance(exc, _BudgetVerdict) else f"budget exhausted: {exc}"
-        print(line, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 3
     except MonodivError as exc:
         print(f"error: {exc}", file=sys.stderr)

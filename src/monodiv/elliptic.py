@@ -110,9 +110,7 @@ class TateNormalCurve:
     @cached_property
     def weierstrass(self) -> WeierstrassCurve:
         a, b = self.a, self.beta
-        return WeierstrassCurve(
-            Fraction(a), Fraction(b * a), Fraction(b * a * a), Fraction(0), Fraction(0)
-        )
+        return WeierstrassCurve(a, b * a, b * a * a, 0, 0)
 
 
 def tate_curve(alpha: int, beta: int) -> TateNormalCurve:

@@ -62,8 +62,8 @@ class NewtonPolygon:
     points: tuple[tuple[int, int | None], ...]
     sides: tuple[PolygonSide, ...]
 
-    def to_json_dict(self, ind: int | None = None) -> dict:
-        data = {
+    def to_json_dict(self) -> dict:
+        return {
             "points": list(map(list, self.points)),
             "sides": [
                 {
@@ -77,9 +77,6 @@ class NewtonPolygon:
                 for s in self.sides
             ],
         }
-        if ind is not None:
-            data["ind_phi"] = ind
-        return data
 
 
 def _cross(o, a, b) -> int:

@@ -60,9 +60,7 @@ class ReductionData:
 def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
     """Kodaira type, conductor exponent, component count at an odd bad prime."""
     curve = tate_curve(alpha, beta)
-    if p == 2:
-        raise MathDomainError("classify_odd needs an odd prime")
-    case = singular_case(curve, p)
+    case = singular_case(curve, p)  # raises MathDomainError at p = 2
     v = case.v
     if case.tag == "beta":
         kind, n, f, c, tag, w = "I", 4 * v, 1, 4 * v, "tate1-1", 0
@@ -80,7 +78,8 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
 
 
 def classify_two(alpha: int, beta: int) -> ReductionData:
-    """Reduction data at p = 2 (bad iff 2 | beta or 2 | alpha)."""
+    """Reduction data at p = 2: MathDomainError unless 2 | beta or 2 | alpha,
+    and kind "good" (tate2-6bii) at v_2(alpha + 8 beta) = 8, though 2 | Delta."""
     a = tate_curve(alpha, beta).a
     if beta % 2 == 0:
         # same analysis as the odd beta-divisibility case, with p = 2

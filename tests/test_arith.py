@@ -29,6 +29,13 @@ from monodiv.arith import (
 from fractions import Fraction
 
 
+def test_integer_nth_root_of_zero_and_one():
+    # n = 0 would divide by zero in the Newton step without the n < 2 return
+    for k in (2, 3):
+        assert arith._integer_nth_root(0, k) == 0
+        assert arith._integer_nth_root(1, k) == 1
+
+
 def test_vp_examples():
     assert vp(12, 2) == 2
     assert vp(-27, 3) == 3

@@ -7,6 +7,7 @@ import random
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -318,7 +319,7 @@ def _row_cases(monkeypatch, alphas):
         f3 = three_torsion_quartic(alpha)
         for p in sorted({3} | set(fact_minus.primes() + fact_plus.primes())):
             fallbacks.clear()
-            row = _row(f3, alpha, p)
+            row = _row(alpha, p)
             lift, _ = closed_form(alpha, p)
             assert fallbacks in ([], [((f3, p), {"lift": lift})]), (alpha, p)
             if not fallbacks:
@@ -435,7 +436,7 @@ def test_row_proof_at_every_class_mod_p2(monkeypatch, p):
     assert len(classes) == {2: 16, 3: 21}[p]
     for alpha in classes:
         f3 = three_torsion_quartic(alpha)
-        (r,) = _row(f3, alpha, p).per_phi
+        (r,) = _row(alpha, p).per_phi
         values = [v for _, v in r.polygon.points]
         e = values.index(0)
         assert r.a0_val == values[0] == 1 and e >= 3, alpha
@@ -467,6 +468,7 @@ def test_certify_runs_no_generic_pass_under_the_hypothesis(monkeypatch):
 
     for module, name in (
         (certify_module, "index_report"),
+        (certify_module, "three_torsion_quartic"),
         (newton_module, "index_report"),
         (newton_module, "phi_development"),
         (poly_module, "phi_development"),
@@ -818,6 +820,12 @@ def test_unit_norm_rejects_bad_input():
     for alpha in (4, 8, -8):
         with pytest.raises(MathDomainError, match="needs 3"):
             unit_norm_check(alpha)
+
+
+def test_unit_norm_check_rejects_a_norm_that_is_not_a_unit(monkeypatch):
+    monkeypatch.setattr(certify_module, "resultant", lambda f, g: Fraction(2))
+    with pytest.raises(MathDomainError, match="norm 2 is not a unit; family claim violated"):
+        unit_norm_check(3)
 
 
 # --- scan -----------------------------------------------------------------------

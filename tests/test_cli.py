@@ -409,6 +409,14 @@ def test_certify_budget_exit_code():
     assert err.startswith("factorization budget exceeded: ")
 
 
+def test_reduce_budget_line_is_the_error_itself():
+    # alpha - 8 is a 122-bit semiprime: a zero budget runs out in rho
+    alpha = (2**61 - 1) * 1152921504606847009 + 8
+    code, out, err = invoke("reduce", "--alpha", str(alpha), "--beta", "1", "--budget-ms", "0")
+    assert (code, out) == (3, "")
+    assert err == f"factorization budget exhausted on {alpha - 8}\n"
+
+
 def test_certify_exit_code_does_not_read_the_reason_text(monkeypatch):
     # a not_certified certificate whose hypothesis holds is a verdict, not a
     # budget exhaustion, whatever words its reason uses
@@ -435,6 +443,18 @@ def test_reduce_at_two_text_row():
     ],
 )
 def test_divpoly_curve_arguments_are_math_errors(argv, message):
+    assert invoke(*argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("divpoly", "--alpha", "2", "--beta", "1", "--a-invariants", "0,0,0,1,0", "--n", "3"),
+        ("divpoly", "--alpha", "2", "--a-invariants", "0,0,0,1,0", "--n", "3"),
+    ],
+)
+def test_divpoly_takes_one_curve(argv):
+    message = "provide --alpha/--beta or --a-invariants, not both"
     assert invoke(*argv) == (1, "", f"error: {message}\n")
 
 

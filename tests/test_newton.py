@@ -19,7 +19,7 @@ from monodiv import (
     phi_development,
     residual_polynomial,
 )
-from monodiv import certify, three_torsion_quartic
+from monodiv import certify
 from monodiv.certify import _row
 from monodiv.newton import PolygonSide, _dedekind, _polygon_from_values
 from monodiv.poly import PolyFq, factor_mod_p
@@ -378,10 +378,9 @@ def test_slope_text_matches_the_fraction():
     for alpha in range(-300, 301):
         if alpha in (-8, 8):
             continue
-        f3 = three_torsion_quartic(alpha)
         primes = {3} | set(factor(alpha - 8).primes()) | set(factor(alpha + 8).primes())
         for p in primes:
-            sides += [s for r in _row(f3, alpha, p).per_phi for s in r.polygon.sides]
+            sides += [s for r in _row(alpha, p).per_phi for s in r.polygon.sides]
     assert len({(s.y0 - s.y1, s.x1 - s.x0) for s in sides}) > 40
     for side in sides:
         assert side.slope_text == str(slope(side)), side
