@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, InfiniteValuationError, MathDomainError
 
@@ -204,8 +204,7 @@ def _brent_rho(n: int, deadline: float | None) -> int:
         # cycle collapsed; retry with the next polynomial x^2 + c
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Signed prime factorization with strictly increasing primes.
 
     ``probable`` lists the prime factors at or above DETERMINISTIC_BOUND,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import _budget_left, _integer_nth_root, divisors, factor, vp
 from .errors import BudgetExceededError, MathDomainError
@@ -53,6 +53,11 @@ from .poly import PolyInt, discriminant, resultant
 from .reduction import reduction_table  # noqa: F401
 
 SCHEMA_VERSION = 1
+
+# The one compact JSON writer, for certificates and every CLI document.
+# Each document is a fresh tree built by a to_json_dict, so it holds no
+# cycle for the encoder to look for.
+_dump = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 # The quartic f = T^4 - 6T^2 - alpha*T - 3 is reducible over Q only for
@@ -105,8 +110,7 @@ def is_irreducible_quartic(f: PolyInt, budget_ms: int | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MonogenicityCertificate:
+class MonogenicityCertificate(NamedTuple):
     """The `IndexReport` of each prime plus the global verdict for one alpha."""
 
     alpha: int
@@ -132,7 +136,7 @@ class MonogenicityCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return _dump(self.to_json_dict())
 
 
 def _row_json(report: IndexReport) -> dict:
@@ -317,8 +321,7 @@ def montes_certificate(
     return _certificate(alpha, reports, int(disc), trust)
 
 
-@dataclass(frozen=True)
-class GaloisSignature:
+class GaloisSignature(NamedTuple):
     group: str  # "S4" | "other"
     real_roots: int
 
@@ -365,8 +368,7 @@ def scan(lo: int, hi: int, budget_ms: int | None = None) -> list[MonogenicityCer
     return [certify(a, budget_ms=_budget_left(budget_ms, start)) for a in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     """One (s, t) specialization of an experimental quartic family."""
 
     family: str

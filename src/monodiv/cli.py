@@ -10,19 +10,15 @@ write to stdout.  Exit codes: 0 success, 1 mathematical error, 2 usage error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import elliptic, newton, poly, reduction, valuation
+from .certify import _dump
 from .certify import certify as run_certify
 from .certify import scan as run_scan
 from .certify import survey_family
 from .errors import BudgetExceededError, MathDomainError, MonodivError
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import MathDomainError, SingularCurveError
 from .poly import PolyInt, PolyRat, _rat_from_integral
@@ -127,8 +128,7 @@ def T_to_x(T: Fraction | int, curve: TateNormalCurve) -> Fraction:
     return Fraction(ab) / T - ab
 
 
-@dataclass(frozen=True)
-class DivisionPoly:
+class DivisionPoly(NamedTuple):
     """Division (or Fueter) polynomial in the parity-split representation.
 
     For odd n, ``poly`` is the full polynomial; for even n it is the cofactor

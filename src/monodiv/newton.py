@@ -18,7 +18,7 @@ multiplicities equal to Phi mod p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import require_prime
 from .errors import ExactRootError, MathDomainError
@@ -34,8 +34,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class PolygonSide:
+class PolygonSide(NamedTuple):
     """One negative-slope side; degree = number of lattice segments."""
 
     x0: int
@@ -54,8 +53,7 @@ class PolygonSide:
         return f"{num}/{den}" if den != 1 else str(num)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Development points (v = None marks infinite valuation) and the
     negative-slope sides of their lower convex hull, left to right."""
 
@@ -64,7 +62,7 @@ class NewtonPolygon:
 
     def to_json_dict(self) -> dict:
         return {
-            "points": list(map(list, self.points)),
+            "points": self.points,
             "sides": [
                 {
                     "x0": s.x0,
@@ -144,8 +142,7 @@ def residual_polynomial(dev: PhiDevelopment, p: int, side: PolygonSide) -> PolyF
     return residual
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """Polygon data for one repeated irreducible factor.  ``regular`` says
     that the residual polynomial of every side is separable; the residuals
     themselves are not kept (`residual_polynomial` rebuilds one from the
@@ -159,8 +156,7 @@ class PhiReport:
     regular: bool
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """Lower bound for v_p([O_K : Z[theta]]), exact when p-regular."""
 
     p: int

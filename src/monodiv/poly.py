@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import require_prime, vp
 from .errors import MathDomainError
@@ -74,7 +74,7 @@ class _DensePoly:
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(map(str, self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -529,8 +529,7 @@ class PolyFq(_DensePoly):
 # phi-adic developments
 
 
-@dataclass(frozen=True)
-class PhiDevelopment:
+class PhiDevelopment(NamedTuple):
     """Unique expansion Phi = sum_j a_j * phi^j with deg a_j < deg phi."""
 
     phi: PolyInt

@@ -11,7 +11,7 @@ f and component count c are reported only where the closed forms state them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import _budget_left, factor, legendre, vp
 from .elliptic import tate_curve
@@ -19,8 +19,7 @@ from .errors import MathDomainError
 from .valuation import singular_case
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(NamedTuple):
     """Reduction type: kind in {"good", "I", "I*", "III", "III*"} (+ index n)."""
 
     kind: str
@@ -45,8 +44,7 @@ class KodairaType:
         return None
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     """Local reduction data at one prime."""
 
     p: int

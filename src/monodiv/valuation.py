@@ -13,8 +13,8 @@ The floor sequence R_n(a, l) of the multiplicative-reduction analysis is here to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import require_prime, vp, vp_fraction
 # perfbench/spans.py patches psi and fueter in this module by name, though
@@ -22,8 +22,7 @@ from .arith import require_prime, vp, vp_fraction
 from .elliptic import TateNormalCurve, fueter, fueter_value, psi, psi_value  # noqa: F401
 from .errors import MathDomainError
 
-@dataclass(frozen=True)
-class SingularCase:
+class SingularCase(NamedTuple):
     """Which quantity p divides: 'minus' for alpha - 8 beta, 'plus' for
     alpha + 8 beta, 'beta' for beta; v is the corresponding valuation."""
 

@@ -625,6 +625,23 @@ def test_certificate_json_schema():
     assert data["trust"] == []
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: certify(2),
+        lambda: certify(12),
+        lambda: certify(8),
+        lambda: certify(-867694787194699659),
+        lambda: montes_certificate(three_torsion_quartic(4), alpha=4),
+        lambda: montes_certificate(PolyInt((-3, 0, 1, -2, 1))),
+    ],
+    ids=["monogenic", "not-squarefree", "singular", "trust", "montes-inexact", "multi-lift"],
+)
+def test_to_json_is_compact_json_dumps(make):
+    cert = make()
+    assert cert.to_json() == json.dumps(cert.to_json_dict(), separators=(",", ":"))
+
+
 def test_certify_soundness_dedekind_everywhere():
     # for certified alpha, Z[theta] must be maximal at every prime of disc(F3)
     from monodiv.arith import factor

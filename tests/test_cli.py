@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from monodiv import cli
+from monodiv import cli, scan
 from monodiv.certify import MonogenicityCertificate
 from monodiv.cli import run
 
@@ -195,6 +195,11 @@ def test_scan_json_golden_digest():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7fcffce094302a821a547c5748c5db4302d0cb2cca38b3bdc19d9ec3953f48fa"
     )
+
+
+def test_dump_of_a_scan_is_compact_json_dumps():
+    data = [cert.to_json_dict() for cert in scan(-20, 20)]
+    assert cli._dump(data) == json.dumps(data, separators=(",", ":"))
 
 
 def test_scan_json_golden_digest_small_alphas():
