@@ -1,18 +1,23 @@
 """Exact integer utilities: valuations, factorization, squarefree tests, symbols.
 
-``factor`` trial-divides by the 564 primes below 2^12 and splits what is left
-with Brent's rho (Brent, BIT 20, 1980), which finds a prime factor between
-2^12 and 2^16 in a few hundred steps, sooner than a longer trial walk would.
-Trial division walks blocks of consecutive primes and divides by a block's
-primes only when n shares a factor with their product (Bernstein, "How to
-find smooth parts of integers", 2004): one gcd clears a block that divides
-nothing.  Rho multiplies two steps into its product per reduction mod n.
-Everything is deterministic for a fixed input.  Primality is a strong
-probable-prime test to the first k prime bases, k read off the proven
-strong-pseudoprime bounds psi_k; below DETERMINISTIC_BOUND the test is
-labelled exact, above it a "prime" verdict counts as probable, and
-``Factorization.probable`` reads those primes off the factors.  The blocks of
-primes are built once, at import.
+``factor`` runs in two halves.  ``trial_walk`` trial-divides by the 564
+primes below 2^12, walking blocks of consecutive primes and dividing by a
+block's primes only when n shares a factor with their product (Bernstein,
+"How to find smooth parts of integers", 2004): one gcd clears a block that
+divides nothing.  ``complete_walk`` factors what the walk leaves: a cofactor
+below 2^24 is prime, and a larger one is split with Brent's rho (Brent,
+BIT 20, 1980), which finds a prime factor between 2^12 and 2^16 in a few
+hundred steps, sooner than a longer trial walk would.  Rho multiplies two
+steps into its product per reduction mod n.  A caller that needs only part
+of the answer stops after the walk: a square it shows (``shows_square``)
+decides squarefreeness, and ``walk_probable`` reads the probable primes off
+the cofactor, running rho only for a composite cofactor of
+DETERMINISTIC_BOUND * 2^12 or more.  Everything is deterministic for a fixed
+input.  Primality is a strong probable-prime test to the first k prime
+bases, k read off the proven strong-pseudoprime bounds psi_k; below
+DETERMINISTIC_BOUND the test is labelled exact, above it a "prime" verdict
+counts as probable, and ``Factorization.probable`` reads those primes off
+the factors.  The blocks of primes are built once, at import.
 """
 
 from __future__ import annotations
@@ -225,24 +230,31 @@ class Factorization(NamedTuple):
         return all(e == 1 for _, e in self.factors)
 
 
-def factor(x: int, budget_ms: int | None = None) -> Factorization:
-    """Complete factorization of a nonzero integer.
+class TrialWalk(NamedTuple):
+    """What trial division leaves of x = sign * prod(p**e) * cofactor.
 
-    Trial division walks the prime blocks built at import, dividing only by
-    a block whose product shares a factor with n; a cofactor left below 2^24
-    is then prime.  A larger one goes to deterministic Brent rho splitting
-    with probable-prime certification of the parts.  Only rho reads the
-    budget, so ``budget_ms=0`` still returns whenever no rho work remains:
-    ``factor(4093 * 4099, budget_ms=0)`` returns, while 4099 * 4111, a
-    composite above 2^24, needs rho and raises.  Raises BudgetExceededError
-    rather than returning a partial answer.
+    ``small`` holds the primes below 2^12 that divide x, increasing, with
+    their exponents.  The walk stops early only once the cofactor is below
+    the square of the next prime, so the cofactor is 1, a prime, or a
+    composite with no prime factor below 2^12.
     """
+
+    sign: int
+    small: tuple[tuple[int, int], ...]
+    cofactor: int
+
+    def shows_square(self) -> bool:
+        """Whether the square of a prime below 2^12 divides x."""
+        return any(e > 1 for _, e in self.small)
+
+
+def trial_walk(x: int) -> TrialWalk:
+    """Trial division of a nonzero integer over the prime blocks built at
+    import, dividing only by a block whose product shares a factor with n."""
     if x == 0:
         raise ValueError("cannot factor 0")
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    sign = -1 if x < 0 else 1
     n = abs(x)
-    found: dict[int, int] = {}
+    small = []
     for first_squared, product, block in _PRIME_BLOCKS:
         if first_squared > n:
             break
@@ -251,12 +263,25 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
         for p in block:
             if p * p > n:
                 break
-            while n % p == 0:
-                found[p] = found.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                small.append((p, e))
+    return TrialWalk(-1 if x < 0 else 1, tuple(small), n)
+
+
+def complete_walk(walk: TrialWalk, deadline: float | None = None) -> Factorization:
+    """The factorization of the walked number: a cofactor below 2^24 is
+    prime; a larger one goes to deterministic Brent rho splitting with
+    probable-prime certification of the parts.  Only rho reads the deadline
+    (a ``time.monotonic()`` value, None for none)."""
+    found = dict(walk.small)
+    n = walk.cofactor
     if 1 < n < _TRIAL_BOUND * _TRIAL_BOUND:
         # cofactor below the square of the trial bound is prime
-        found[n] = found.get(n, 0) + 1
+        found[n] = 1
         n = 1
     stack = [n] if n > 1 else []
     while stack:
@@ -271,14 +296,57 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
             continue
         d = _brent_rho(m, deadline)
         stack.extend([d, m // d])
-    return Factorization(sign=sign, factors=tuple(sorted(found.items())))
+    return Factorization(sign=walk.sign, factors=tuple(sorted(found.items())))
+
+
+# The trust-bound rule of walk_probable.  Let m be the cofactor and
+# B = 2^12.  The primes in ``small`` are below B, so below
+# DETERMINISTIC_BOUND, and the probable primes are those of m.
+# - m < DETERMINISTIC_BOUND: every prime factor of m is below the bound.
+# - m prime: complete_walk lists m, as the same is_probable_prime verdict.
+# - m composite: m has no prime factor below B (see TrialWalk).  A prime
+#   q >= DETERMINISTIC_BOUND dividing m would leave 1 < m/q, whose prime
+#   factors are all >= B, so m >= q B >= DETERMINISTIC_BOUND B.  Below that,
+#   no prime factor of m reaches the bound, and nothing is listed.
+#   is_probable_prime says "composite" only of composites.
+# [test_walk_probable_matches_complete_walk]
+def walk_probable(walk: TrialWalk, deadline: float | None = None) -> tuple[int, ...]:
+    """``complete_walk(walk, deadline).probable``: the primes at or above
+    DETERMINISTIC_BOUND of the walked number, with rho (and so the deadline)
+    only for a composite cofactor of DETERMINISTIC_BOUND * 2^12 or more."""
+    m = walk.cofactor
+    if m < DETERMINISTIC_BOUND:
+        return ()
+    if m < DETERMINISTIC_BOUND * _TRIAL_BOUND:
+        return (m,) if is_probable_prime(m) else ()
+    return complete_walk(walk, deadline).probable
+
+
+def _deadline(budget_ms: int | None) -> float | None:
+    """The ``time.monotonic()`` value at which ``budget_ms`` from now runs out."""
+    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+
+
+def factor(x: int, budget_ms: int | None = None) -> Factorization:
+    """Complete factorization of a nonzero integer: `trial_walk`, then
+    `complete_walk`.
+
+    Only rho reads the budget, so ``budget_ms=0`` still returns whenever no
+    rho work remains: ``factor(4093 * 4099, budget_ms=0)`` returns, while
+    4099 * 4111, a composite above 2^24, needs rho and raises.  Raises
+    BudgetExceededError rather than returning a partial answer.
+    """
+    deadline = _deadline(budget_ms)
+    return complete_walk(trial_walk(x), deadline)
 
 
 def is_squarefree(x: int) -> bool:
-    """True iff no prime square divides x (x nonzero)."""
+    """True iff no prime square divides x (x nonzero).  A square of a prime
+    below 2^12 answers False with no rho."""
     if x == 0:
         raise ValueError("squarefreeness of 0 is undefined")
-    return factor(x).is_squarefree()
+    walk = trial_walk(x)
+    return not walk.shows_square() and complete_walk(walk).is_squarefree()
 
 
 def legendre(a: int, p: int) -> int:

@@ -24,6 +24,19 @@ for every alpha except +-8 (see `three_torsion_quartic`).  With alpha -+ 8
 squarefree, the guided lifts and the Kodaira types (`reduction_ok`) follow
 from which of alpha - 8, alpha + 8 a prime divides, so `certify` builds no
 curve.
+
+`certify` decides the hypothesis in three steps: one trial walk of each of
+alpha -+ 8 (`arith.trial_walk`), the square check on the primes below 2^12
+that the walks show, and only then the completion of both walks into
+factorizations (`arith.complete_walk`, where rho runs), with no second walk.
+About half of all alphas fail on a small square, and their certificates
+need only the trust lines, the probable primes of each side: `walk_probable`
+reads them off each walk's cofactor by the trust-bound rule (none below
+DETERMINISTIC_BOUND, the cofactor itself if prime, none for a composite
+below DETERMINISTIC_BOUND * 2^12, and the completion beyond), so rho runs
+for a refuted alpha only when a trust line needs it.  Only rho reads the
+request's one deadline.
+
 A generic (curve-blind) Montes pass over all primes of the polynomial
 discriminant serves as a cross-check, and also powers the survey over the
 three experimental quartic families.
@@ -36,7 +49,17 @@ import math
 import time
 from typing import NamedTuple
 
-from .arith import _budget_left, _integer_nth_root, divisors, factor, vp
+from .arith import (
+    _budget_left,
+    _deadline,
+    _integer_nth_root,
+    complete_walk,
+    divisors,
+    factor,
+    trial_walk,
+    vp,
+    walk_probable,
+)
 from .errors import BudgetExceededError, MathDomainError
 # perfbench/spans.py patches dedekind_p_maximal and reduction_table in this
 # module by name, though nothing here calls them; drop both imports together
@@ -260,27 +283,33 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
             alpha, "hypothesis_failed", False,
             reason="alpha = +-8 is singular (alpha -+ 8 vanishes)",
         )
-    start = time.monotonic()  # one deadline for the whole request
+    deadline = _deadline(budget_ms)  # one deadline for the whole request
+    walks = (trial_walk(alpha - 8), trial_walk(alpha + 8))
     try:
-        fact_minus = factor(alpha - 8, budget_ms=budget_ms)
-        fact_plus = factor(alpha + 8, budget_ms=_budget_left(budget_ms, start))
+        if any(walk.shows_square() for walk in walks):
+            # a small square refutes the hypothesis: only the trust lines remain
+            facts = None
+            probable = [walk_probable(walk, deadline) for walk in walks]
+        else:
+            facts = [complete_walk(walk, deadline) for walk in walks]
+            probable = [fact.probable for fact in facts]
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
             alpha, "not_certified", False, reason=f"factorization budget exceeded: {exc}"
         )
     trust = tuple(
         f"prime {q} of alpha {sgn} 8 is probable, not certified"
-        for fact, sgn in ((fact_minus, "-"), (fact_plus, "+"))
-        for q in fact.probable
+        for primes, sgn in zip(probable, "-+")
+        for q in primes
     )
-    if not (fact_minus.is_squarefree() and fact_plus.is_squarefree()):
+    if facts is None or not all(fact.is_squarefree() for fact in facts):
         return MonogenicityCertificate(
             alpha, "hypothesis_failed", False, trust=trust,
             reason="alpha - 8 or alpha + 8 is not squarefree",
         )
     # alpha != +-8, so the quartic is irreducible (see three_torsion_quartic);
     # 2 divides alpha -+ 8 exactly when alpha is even
-    bad = set(fact_minus.primes() + fact_plus.primes())
+    bad = {p for fact in facts for p in fact.primes()}
     reports = [_row(alpha, p) for p in sorted({3} | bad)]
     # reduction_ok: squarefree alpha -+ 8 gives v = 1 at every bad prime of
     # tate_curve(alpha, 1), so classify_odd finds I_1 (case "minus") or I*_1

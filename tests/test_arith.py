@@ -24,7 +24,9 @@ from monodiv.arith import (
     divisors,
     is_probable_prime,
     small_primes,
+    trial_walk,
     vp_fraction,
+    walk_probable,
 )
 from fractions import Fraction
 
@@ -435,6 +437,42 @@ def test_zero_budget_boundary_at_the_trial_bound():
     assert factor(4093 * 4099, budget_ms=0).factors == ((4093, 1), (4099, 1))
     with pytest.raises(BudgetExceededError):
         factor(4099 * 4111, budget_ms=0)
+
+
+def _refuse_rho(n, deadline):
+    raise AssertionError(f"rho ran on {n}")
+
+
+def test_walk_probable_matches_complete_walk(monkeypatch):
+    # the trust-bound rule at each of its edges, with rho refused where the
+    # rule says none is needed, against the full factorization
+    bound, trial = DETERMINISTIC_BOUND, arith._TRIAL_BOUND
+    at_bound = sympy.nextprime(bound)
+    below_product = sympy.prevprime(bound * trial // 4099)  # 4099 * q < bound * 2^12
+    without_rho = [
+        1, 4093, 4099 * 4111, sympy.prevprime(bound), at_bound, sympy.prevprime(bound * trial),
+        4099 * below_product, 4099**2 * sympy.prevprime(bound // 4099**2), 12 * 4099 * below_product,
+    ]
+    # 4099 * at_bound > bound * 2^12
+    with_rho = [4099 * at_bound, 4 * 4099 * at_bound, sympy.nextprime(2**40) * sympy.nextprime(2**41)]
+    expected = {n: factor(n).probable for n in without_rho + with_rho}
+    assert expected[at_bound] == (at_bound,) and expected[4099 * at_bound] == (at_bound,)
+    assert 4099 * below_product < bound * trial < 4099 * at_bound
+    for n in with_rho:
+        assert walk_probable(trial_walk(n)) == expected[n], n
+    monkeypatch.setattr(arith, "_brent_rho", _refuse_rho)
+    for n in without_rho:
+        assert walk_probable(trial_walk(n)) == expected[n], n
+        assert walk_probable(trial_walk(-n)) == expected[n], n
+
+
+def test_is_squarefree_sees_a_small_square_without_rho(monkeypatch):
+    # 4 times a 122-bit semiprime: splitting the semiprime takes minutes of
+    # rho, and the square 4 decides the answer first
+    monkeypatch.setattr(arith, "_brent_rho", _refuse_rho)
+    assert not is_squarefree(4 * ((2**61 - 1) * 1152921504606847009))
+    assert not is_squarefree(-(4093**2) * (2**61 - 1))
+    assert trial_walk(4 * 3 * 4093**2).shows_square()
 
 
 def test_perfect_power_finds_roots_just_above_the_trial_bound():

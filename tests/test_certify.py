@@ -176,37 +176,51 @@ def test_certify_alpha_8_singular():
 
 @pytest.mark.parametrize("alpha", [2, -1038203453994206589])
 def test_certify_factors_alpha_minus_plus_8_once_each(monkeypatch, alpha):
-    # the prime list comes from the factorizations certify made, and
-    # reduction_ok is a closed form, so no Kodaira classification runs and
-    # reduction never factors alpha -+ 8 a second time
-    calls = {}
-    for name in ("monodiv.certify", "monodiv.reduction"):
-        module = importlib.import_module(name)
-        log = calls[name] = []
+    # the prime list comes from the one walk certify made of each of
+    # alpha -+ 8 and its completion, and reduction_ok is a closed form, so no
+    # Kodaira classification runs and reduction never factors alpha -+ 8 a
+    # second time.  arith.factor walks through arith.trial_walk, so a second
+    # walk by any route is counted.
+    walks, completed = [], []
 
-        def counted(n, _inner=module.factor, _log=log, **kwargs):
-            _log.append(n)
-            return _inner(n, **kwargs)
+    def walking(n, _inner=arith.trial_walk):
+        walks.append((n, _inner(n)))
+        return walks[-1][1]
 
-        monkeypatch.setattr(module, "factor", counted)
+    def completing(walk, *args, _inner=certify_module.complete_walk):
+        completed.append(walk)
+        return _inner(walk, *args)
+
+    reduced = []
+    reduction = importlib.import_module("monodiv.reduction")
+
+    def reducing(n, _inner=reduction.factor, **kwargs):
+        reduced.append(n)
+        return _inner(n, **kwargs)
+
+    for module in (arith, certify_module):
+        monkeypatch.setattr(module, "trial_walk", walking)
+    monkeypatch.setattr(certify_module, "complete_walk", completing)
+    monkeypatch.setattr(reduction, "factor", reducing)
     cert = certify(alpha)
     assert cert.verdict == "monogenic" and cert.reduction_ok is True
-    assert sorted(calls["monodiv.certify"]) == [alpha - 8, alpha + 8]
-    assert calls["monodiv.reduction"] == []
+    assert sorted(n for n, _ in walks) == [alpha - 8, alpha + 8]
+    assert completed == [walk for _, walk in walks]
+    assert reduced == []
 
 
 def test_certify_spends_one_budget_on_both_factorizations(monkeypatch):
-    budgets = []
+    left = []
 
-    def slow_first(n, budget_ms=None, _inner=certify_module.factor):
-        budgets.append(budget_ms)
-        if len(budgets) == 1:
+    def slow_first(walk, deadline=None, _inner=certify_module.complete_walk):
+        left.append(1000 * (deadline - time.monotonic()))
+        if len(left) == 1:
             time.sleep(0.15)
-        return _inner(n, budget_ms=budget_ms)
+        return _inner(walk, deadline)
 
-    monkeypatch.setattr(certify_module, "factor", slow_first)
+    monkeypatch.setattr(certify_module, "complete_walk", slow_first)
     assert certify(2, budget_ms=1000).verdict == "monogenic"
-    assert budgets[0] == 1000 and budgets[1] <= 850
+    assert len(left) == 2 and 900 < left[0] <= 1000 and left[1] <= 850
 
 
 def test_certify_large_json_digest():
@@ -497,26 +511,30 @@ def test_certify_runs_no_generic_pass_under_the_hypothesis(monkeypatch):
 
 
 def test_certify_proves_each_prime_once(monkeypatch):
-    # the primes come from arith.factor, which runs the probable-prime test
-    # on what trial division leaves above the square of its bound, once per
-    # prime; certify builds its rows without asking again, and nothing calls
-    # require_prime
+    # the primes come from arith's trial walk and its completion, which runs
+    # the probable-prime test on what trial division leaves above the square
+    # of its bound, once per prime; certify builds its rows without asking
+    # again, and nothing calls require_prime
     tested, required, depth = [], [], [0]
-    is_probable_prime, factor_ = arith.is_probable_prime, certify_module.factor
+    is_probable_prime = arith.is_probable_prime
 
     def counted(n):
         tested.append((n, depth[0] > 0))
         return is_probable_prime(n)
 
-    def factoring(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return factor_(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def factoring(inner):
+        def inside(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return inside
 
     monkeypatch.setattr(arith, "is_probable_prime", counted)
-    monkeypatch.setattr(certify_module, "factor", factoring)
+    for name in ("trial_walk", "complete_walk", "walk_probable"):
+        monkeypatch.setattr(certify_module, name, factoring(getattr(certify_module, name)))
     for name in ("monodiv.arith", "monodiv.newton", "monodiv.poly", "monodiv.valuation"):
         monkeypatch.setattr(importlib.import_module(name), "require_prime", required.append)
     rng = random.Random("prove_once")
@@ -918,16 +936,17 @@ def test_survey_spends_one_budget_on_the_whole_request(monkeypatch):
 def test_scan_spends_one_budget_on_the_whole_request(monkeypatch):
     budgets = []
 
-    def slow(n, budget_ms=None, _inner=certify_module.factor):
-        budgets.append(budget_ms)
+    def slow(walk, deadline=None, _inner=certify_module.complete_walk):
+        budgets.append(max(0.0, 1000 * (deadline - time.monotonic())))
         time.sleep(0.02)
-        return _inner(n, budget_ms=budget_ms)
+        return _inner(walk, deadline)
 
     expected = [c.to_json() for c in scan(1, 10)]
-    monkeypatch.setattr(certify_module, "factor", slow)
+    monkeypatch.setattr(certify_module, "complete_walk", slow)
     certs = scan(1, 10, budget_ms=50)
-    # alpha -+ 8 for nine alphas (8 returns early); each call gets what is left
-    assert len(budgets) == 18
+    # alpha -+ 8 for six alphas: 8 returns early, and 1, 4 and 10 show a
+    # small square, so no completion runs for them; each call gets what is left
+    assert len(budgets) == 12
     assert 30 < budgets[0] <= 50
     assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
     assert budgets[3:] == [0.0] * len(budgets[3:])
@@ -1021,3 +1040,143 @@ def test_montes_budget_spent_on_disc_keeps_the_decided_hypothesis(monkeypatch):
     cert = montes_certificate(three_torsion_quartic(2), budget_ms=1000)
     assert cert.verdict == "not_certified" and cert.hypothesis_ok is True
     assert cert.reason.startswith("factorization budget exceeded")
+
+
+# --- a small square refutes the hypothesis before rho runs -----------------------
+
+
+def _from_full_factorizations(alpha):
+    """The verdict and trust lines that complete factorizations of alpha -+ 8 give."""
+    facts = [factor(alpha - 8), factor(alpha + 8)]
+    trust = tuple(
+        f"prime {q} of alpha {sgn} 8 is probable, not certified"
+        for fact, sgn in zip(facts, "-+")
+        for q in fact.probable
+    )
+    squarefree = all(fact.is_squarefree() for fact in facts)
+    return ("monogenic" if squarefree else "hypothesis_failed"), trust
+
+
+def _refuse_rho(n, deadline):
+    raise AssertionError(f"rho ran on {n}")
+
+
+def _cofactor(n):
+    """|n| with every prime below the trial bound divided out."""
+    n = abs(n)
+    for p in arith.small_primes():
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def test_certify_trust_and_verdict_match_full_factorizations():
+    rng = random.Random("trust_rule_differential")
+    alphas = [rng.choice((-1, 1)) * rng.randrange(2**59, 2**61) for _ in range(5000)]
+    verdicts = Counter()
+    for alpha in alphas:
+        cert = certify(alpha)
+        assert (cert.verdict, cert.trust) == _from_full_factorizations(alpha), alpha
+        verdicts[cert.verdict, bool(cert.trust)] += 1
+    assert all(verdicts[key] > 200 for key in itertools.product(("monogenic", "hypothesis_failed"), (False, True)))
+
+
+def _refuted_with_cofactor(c, rho_free):
+    """An alpha with 9 | alpha - 8 and alpha + 8 = s * c for a 2^12-smooth s.
+    With ``rho_free``, s is picked so that alpha - 8 leaves a cofactor
+    below DETERMINISTIC_BOUND, which needs no rho for its trust lines."""
+    s = 7 * pow(c, -1, 9) % 9  # s * c = 16 mod 9
+    while rho_free and _cofactor(s * c - 16) >= arith.DETERMINISTIC_BOUND:
+        s += 9
+    assert s < arith._TRIAL_BOUND
+    return s * c - 8
+
+
+@pytest.mark.parametrize("case", ["prime_at_the_bound", "composite_below_the_product", "4099_times_a_probable_prime"])
+def test_certify_trust_rule_at_its_edges(monkeypatch, case):
+    # the other side's cofactor at each edge of the trust-bound rule
+    bound = arith.DETERMINISTIC_BOUND
+    prime = sympy.nextprime(bound)
+    c, listed = {
+        "prime_at_the_bound": (prime, prime),
+        "composite_below_the_product": (4099 * sympy.prevprime(bound * 2**12 // 4099), None),
+        "4099_times_a_probable_prime": (4099 * prime, prime),
+    }[case]
+    rho_free = listed is None or c == listed
+    alpha = _refuted_with_cofactor(c, rho_free)
+    expected = {a: _from_full_factorizations(a) for a in (alpha, -alpha)}
+    if rho_free:
+        monkeypatch.setattr(arith, "_brent_rho", _refuse_rho)
+    for a, sgn in ((alpha, "+"), (-alpha, "-")):
+        cert = certify(a)
+        assert (cert.verdict, cert.trust) == expected[a]
+        assert cert.verdict == "hypothesis_failed"
+        lines = [line for line in cert.trust if f"alpha {sgn} 8" in line]
+        assert lines == ([] if listed is None else [f"prime {listed} of alpha {sgn} 8 is probable, not certified"])
+
+
+def test_certify_finds_a_square_above_the_trial_bound_through_rho(monkeypatch):
+    # alpha - 8 = 4099^2 r: no prime below 2^12 divides it, so only the
+    # completion sees the square, and rho splits the cofactor to find it
+    r = sympy.nextprime(2**40)
+    while not factor(4099**2 * r + 16).is_squarefree():
+        r = sympy.nextprime(r)
+    alpha = 4099**2 * r + 8
+    split, brent_rho = [], arith._brent_rho
+
+    def recording(n, deadline):
+        split.append(n)
+        return brent_rho(n, deadline)
+
+    monkeypatch.setattr(arith, "_brent_rho", recording)
+    cert = certify(alpha)
+    assert cert.verdict == "hypothesis_failed"
+    assert split[0] == alpha - 8
+
+
+def test_certify_refutes_small_squares_without_rho(monkeypatch):
+    # seeded alphas that a square below 2^12 refutes, with both cofactors
+    # below DETERMINISTIC_BOUND * 2^12: the trust lines need no rho either
+    rng = random.Random("refuted_without_rho")
+    squares = [p * p for p in arith.small_primes()]
+    limit = arith.DETERMINISTIC_BOUND * arith._TRIAL_BOUND
+    chosen = []
+    while len(chosen) < 300:
+        alpha = rng.choice((-1, 1)) * rng.randrange(2**59, 2**61)
+        sides = (alpha - 8, alpha + 8)
+        if any(n % sq == 0 for n in sides for sq in squares) and all(_cofactor(n) < limit for n in sides):
+            chosen.append(alpha)
+    expected = {alpha: _from_full_factorizations(alpha) for alpha in chosen}
+    # at the parent each of these composite cofactors went to rho
+    composite = [
+        m for alpha in chosen for m in map(_cofactor, (alpha - 8, alpha + 8))
+        if m >= 2**24 and not arith.is_probable_prime(m)
+    ]
+    assert len(composite) > 100
+    assert any(trust for _, trust in expected.values())
+    monkeypatch.setattr(arith, "_brent_rho", _refuse_rho)
+    for alpha in chosen:
+        cert = certify(alpha)
+        assert cert.verdict == "hypothesis_failed"
+        assert (cert.verdict, cert.trust) == expected[alpha]
+
+
+def test_certify_budget_spares_a_hypothesis_the_small_primes_refute():
+    # 4 divides alpha -+ 8, and alpha - 8 = 4 p q leaves a 57-bit composite
+    # cofactor, below DETERMINISTIC_BOUND * 2^12: it has no probable prime,
+    # so no rho runs and a spent budget still decides the hypothesis
+    p = sympy.nextprime(2**28)
+    q = sympy.nextprime(p + 2**20)
+    alpha = 8 + 4 * p * q
+    assert alpha < 2**60
+    cert = certify(alpha, budget_ms=0)
+    assert cert.verdict == "hypothesis_failed" and cert.trust == ()
+    assert cert.to_json() == certify(alpha).to_json()
+    # a trust line that needs rho still needs the budget: 4099 P with P prime
+    # above the bound
+    big = sympy.nextprime(arith.DETERMINISTIC_BOUND)
+    alpha = 8 + 4 * 4099 * big
+    assert certify(alpha, budget_ms=0).verdict == "not_certified"
+    cert = certify(alpha)
+    assert cert.verdict == "hypothesis_failed"
+    assert f"prime {big} of alpha - 8 is probable, not certified" in cert.trust
