@@ -4,11 +4,12 @@
 primes below 2^12, walking blocks of consecutive primes and dividing by a
 block's primes only when n shares a factor with their product (Bernstein,
 "How to find smooth parts of integers", 2004): one gcd clears a block that
-divides nothing.  ``complete_walk`` factors what the walk leaves: a cofactor
-below 2^24 is prime, and a larger one is split with Brent's rho (Brent,
-BIT 20, 1980), which finds a prime factor between 2^12 and 2^16 in a few
-hundred steps, sooner than a longer trial walk would.  Rho multiplies two
-steps into its product per reduction mod n.  A caller that needs only part
+divides nothing.  ``complete_walk`` factors what the walk leaves: no prime
+below 2^12 divides it, so a part below 2^24 is prime, and a larger one is
+split with Brent's rho (Brent, BIT 20, 1980), which finds a prime factor
+between 2^12 and 2^16 in a few hundred steps, sooner than a longer trial walk
+would; each prime part is proved prime once.  Rho multiplies two steps into
+its product per reduction mod n.  A caller that needs only part
 of the answer stops after the walk: a square it shows (``shows_square``)
 decides squarefreeness, and ``walk_probable`` reads the probable primes off
 the cofactor, running rho only for a composite cofactor of
@@ -18,12 +19,17 @@ bases, k read off the proven strong-pseudoprime bounds psi_k; below
 DETERMINISTIC_BOUND the test is labelled exact, above it a "prime" verdict
 counts as probable, and ``Factorization.probable`` reads those primes off
 the factors.  The blocks of primes are built once, at import.
+
+A request has one deadline: the six entry points that take ``budget_ms``
+open a ``_Request``, a context variable (PEP 567) holds the deadline for
+everything they call, and only rho reads it.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextvars import ContextVar
 from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
@@ -128,16 +134,27 @@ def require_prime(p: int) -> None:
         raise MathDomainError(f"p = {p} is not a prime")
 
 
-def _check_deadline(deadline: float | None, what: int) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError(f"factorization budget exhausted on {what}")
+# The running request's time.monotonic() deadline, None for none.
+_DEADLINE: ContextVar[float | None] = ContextVar("deadline", default=None)
 
 
-def _budget_left(budget_ms: int | None, start: float) -> float | None:
-    """What is left of one request's budget since ``start``, floored at 0."""
-    if budget_ms is None:
-        return None
-    return max(0.0, budget_ms - 1000.0 * (time.monotonic() - start))
+class _Request:
+    """One request's scope: sets the deadline ``budget_ms`` from now and
+    restores the one before on exit.  ``budget_ms=None`` sets nothing, so an
+    entry point called inside a request keeps that request's deadline."""
+
+    __slots__ = ("budget_ms", "token")
+
+    def __init__(self, budget_ms: int | None):
+        self.budget_ms = budget_ms
+
+    def __enter__(self) -> None:
+        if self.budget_ms is not None:
+            self.token = _DEADLINE.set(time.monotonic() + self.budget_ms / 1000.0)
+
+    def __exit__(self, *exc) -> None:
+        if self.budget_ms is not None:
+            _DEADLINE.reset(self.token)
 
 
 def _integer_nth_root(n: int, k: int) -> int:
@@ -168,24 +185,27 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _brent_rho(n: int, deadline: float | None) -> int:
+def _brent_rho(n: int) -> int:
     """Deterministic Brent cycle-finding split of an odd composite n."""
-    # The deadline is checked once per batch of at most 128 steps, so a run
-    # overshoots its budget by one batch at most, however long it grows.
-    # x - y is not made positive: that changes q only by a sign mod n, and
-    # gcd(+-q, n) is the same.
+    # The request's deadline is checked once per batch of at most 128 steps,
+    # so a run overshoots its budget by one batch at most, however long it
+    # grows.  x - y is not made positive: that changes q only by a sign mod
+    # n, and gcd(+-q, n) is the same.
+    deadline = _DEADLINE.get()
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
             for done in range(0, r, 128):
-                _check_deadline(deadline, n)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceededError(f"factorization budget exhausted on {n}")
                 for _ in range(min(128, r - done)):
                     y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
-                _check_deadline(deadline, n)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceededError(f"factorization budget exhausted on {n}")
                 ys = y
                 # two steps per reduction of q: the same residue at every gcd
                 m = min(128, r - k)
@@ -272,21 +292,17 @@ def trial_walk(x: int) -> TrialWalk:
     return TrialWalk(-1 if x < 0 else 1, tuple(small), n)
 
 
-def complete_walk(walk: TrialWalk, deadline: float | None = None) -> Factorization:
-    """The factorization of the walked number: a cofactor below 2^24 is
-    prime; a larger one goes to deterministic Brent rho splitting with
-    probable-prime certification of the parts.  Only rho reads the deadline
-    (a ``time.monotonic()`` value, None for none)."""
+def complete_walk(walk: TrialWalk) -> Factorization:
+    """The factorization of the walked number: deterministic Brent rho
+    splitting of the cofactor, each prime part proved prime once.  Only rho
+    reads the request's deadline."""
     found = dict(walk.small)
-    n = walk.cofactor
-    if 1 < n < _TRIAL_BOUND * _TRIAL_BOUND:
-        # cofactor below the square of the trial bound is prime
-        found[n] = 1
-        n = 1
-    stack = [n] if n > 1 else []
+    stack = [walk.cofactor] if walk.cofactor > 1 else []
     while stack:
         m = stack.pop()
-        if is_probable_prime(m):
+        # A part already found is prime.  No prime below 2^12 divides a part
+        # (see TrialWalk), so a part below 2^24 is prime.
+        if m in found or m < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         power = _perfect_power(m)
@@ -294,7 +310,7 @@ def complete_walk(walk: TrialWalk, deadline: float | None = None) -> Factorizati
             b, k = power
             stack.extend([b] * k)
             continue
-        d = _brent_rho(m, deadline)
+        d = _brent_rho(m)
         stack.extend([d, m // d])
     return Factorization(sign=walk.sign, factors=tuple(sorted(found.items())))
 
@@ -310,8 +326,8 @@ def complete_walk(walk: TrialWalk, deadline: float | None = None) -> Factorizati
 #   no prime factor of m reaches the bound, and nothing is listed.
 #   is_probable_prime says "composite" only of composites.
 # [test_walk_probable_matches_complete_walk]
-def walk_probable(walk: TrialWalk, deadline: float | None = None) -> tuple[int, ...]:
-    """``complete_walk(walk, deadline).probable``: the primes at or above
+def walk_probable(walk: TrialWalk) -> tuple[int, ...]:
+    """``complete_walk(walk).probable``: the primes at or above
     DETERMINISTIC_BOUND of the walked number, with rho (and so the deadline)
     only for a composite cofactor of DETERMINISTIC_BOUND * 2^12 or more."""
     m = walk.cofactor
@@ -319,12 +335,7 @@ def walk_probable(walk: TrialWalk, deadline: float | None = None) -> tuple[int, 
         return ()
     if m < DETERMINISTIC_BOUND * _TRIAL_BOUND:
         return (m,) if is_probable_prime(m) else ()
-    return complete_walk(walk, deadline).probable
-
-
-def _deadline(budget_ms: int | None) -> float | None:
-    """The ``time.monotonic()`` value at which ``budget_ms`` from now runs out."""
-    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    return complete_walk(walk).probable
 
 
 def factor(x: int, budget_ms: int | None = None) -> Factorization:
@@ -336,8 +347,8 @@ def factor(x: int, budget_ms: int | None = None) -> Factorization:
     4099 * 4111, a composite above 2^24, needs rho and raises.  Raises
     BudgetExceededError rather than returning a partial answer.
     """
-    deadline = _deadline(budget_ms)
-    return complete_walk(trial_walk(x), deadline)
+    with _Request(budget_ms):
+        return complete_walk(trial_walk(x))
 
 
 def is_squarefree(x: int) -> bool:
@@ -358,9 +369,9 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def divisors(x: int, budget_ms: int | None = None) -> list[int]:
+def divisors(x: int) -> list[int]:
     """Positive divisors of a nonzero integer, ascending."""
     out = [1]
-    for p, e in factor(x, budget_ms=budget_ms).factors:
+    for p, e in factor(x).factors:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)

@@ -35,7 +35,7 @@ reads them off each walk's cofactor by the trust-bound rule (none below
 DETERMINISTIC_BOUND, the cofactor itself if prime, none for a composite
 below DETERMINISTIC_BOUND * 2^12, and the completion beyond), so rho runs
 for a refuted alpha only when a trust line needs it.  Only rho reads the
-request's one deadline.
+request's one deadline, set by the entry point that takes ``budget_ms``.
 
 A generic (curve-blind) Montes pass over all primes of the polynomial
 discriminant serves as a cross-check, and also powers the survey over the
@@ -46,16 +46,15 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from typing import NamedTuple
 
 from .arith import (
-    _budget_left,
-    _deadline,
     _integer_nth_root,
+    _Request,
     complete_walk,
     divisors,
     factor,
+    is_squarefree,
     trial_walk,
     vp,
     walk_probable,
@@ -101,20 +100,20 @@ def field_discriminant(alpha: int) -> int:
     return -27 * (alpha - 8) ** 2 * (alpha + 8) ** 2
 
 
-def is_irreducible_quartic(f: PolyInt, budget_ms: int | None = None) -> bool:
+def is_irreducible_quartic(f: PolyInt) -> bool:
     """Irreducibility over Q for monic integer quartics.
 
     By Gauss, a monic integer quartic factors over Q iff over Z, so its
     rational roots and the constant terms of its quadratic factors are signed
     divisors of c0.  Both tests run over the one factorization of c0, made
-    within ``budget_ms`` (BudgetExceededError past it).
+    under the request's deadline (BudgetExceededError past it).
     """
     if f.degree != 4 or not f.is_monic:
         raise MathDomainError("expected a monic quartic")
     c0, c1, c2, c3 = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
     if c0 == 0:
         return False
-    for b in (sign * q for q in divisors(c0, budget_ms=budget_ms) for sign in (1, -1)):
+    for b in (sign * q for q in divisors(c0) for sign in (1, -1)):
         if f(b) == 0:
             return False
         d = c0 // b
@@ -283,16 +282,16 @@ def certify(alpha: int, budget_ms: int | None = None) -> MonogenicityCertificate
             alpha, "hypothesis_failed", False,
             reason="alpha = +-8 is singular (alpha -+ 8 vanishes)",
         )
-    deadline = _deadline(budget_ms)  # one deadline for the whole request
-    walks = (trial_walk(alpha - 8), trial_walk(alpha + 8))
     try:
-        if any(walk.shows_square() for walk in walks):
-            # a small square refutes the hypothesis: only the trust lines remain
-            facts = None
-            probable = [walk_probable(walk, deadline) for walk in walks]
-        else:
-            facts = [complete_walk(walk, deadline) for walk in walks]
-            probable = [fact.probable for fact in facts]
+        with _Request(budget_ms):  # one deadline for the whole request
+            walks = (trial_walk(alpha - 8), trial_walk(alpha + 8))
+            if any(walk.shows_square() for walk in walks):
+                # a small square refutes the hypothesis: only the trust lines remain
+                facts = None
+                probable = [walk_probable(walk) for walk in walks]
+            else:
+                facts = [complete_walk(walk) for walk in walks]
+                probable = [fact.probable for fact in facts]
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
             alpha, "not_certified", False, reason=f"factorization budget exceeded: {exc}"
@@ -332,15 +331,15 @@ def montes_certificate(
     disc = discriminant(poly)
     if disc == 0:
         raise MathDomainError("polynomial must be squarefree over Q")
-    start = time.monotonic()  # one deadline for the whole request
     irreducible = False  # the hypothesis holds once the test has returned True
     try:
-        if not is_irreducible_quartic(poly, budget_ms=budget_ms):
-            return MonogenicityCertificate(
-                alpha, "hypothesis_failed", False, reason="the quartic is reducible over Q"
-            )
-        irreducible = True
-        fact = factor(int(disc), budget_ms=_budget_left(budget_ms, start))
+        with _Request(budget_ms):  # one deadline for the whole request
+            if not is_irreducible_quartic(poly):
+                return MonogenicityCertificate(
+                    alpha, "hypothesis_failed", False, reason="the quartic is reducible over Q"
+                )
+            irreducible = True
+            fact = factor(int(disc))
     except BudgetExceededError as exc:
         return MonogenicityCertificate(
             alpha, "not_certified", irreducible, reason=f"factorization budget exceeded: {exc}"
@@ -393,8 +392,8 @@ def unit_norm_check(alpha: int) -> int:
 
 def scan(lo: int, hi: int, budget_ms: int | None = None) -> list[MonogenicityCertificate]:
     """Certify every alpha in [lo, hi], ordered by alpha, under one budget."""
-    start = time.monotonic()
-    return [certify(a, budget_ms=_budget_left(budget_ms, start)) for a in range(lo, hi + 1)]
+    with _Request(budget_ms):
+        return [certify(a) for a in range(lo, hi + 1)]
 
 
 class FamilyEntry(NamedTuple):
@@ -408,7 +407,8 @@ class FamilyEntry(NamedTuple):
     disc_ok: bool
     squared_factor: int
     # Montes verdict when the squared factor is squarefree, "not_certified"
-    # when the budget runs out before that is known, else None
+    # when the budget runs out before that is known, else None (a square of
+    # a prime below 2^12 is seen with no rho, so under any budget)
     verdict: str | None
 
 
@@ -444,32 +444,19 @@ def survey_family(
         raise MathDomainError("family must be one of A, B, C")
     quartic, squared_factor, k = _FAMILIES[family]
     out = []
-    start = time.monotonic()  # one deadline for the whole request
-    for s in range(s_range[0], s_range[1] + 1):
-        for t in range(t_range[0], t_range[1] + 1):
-            poly = quartic(s, t)
-            sq = squared_factor(s, t)
-            predicted = -27 * k * sq * sq
-            actual = discriminant(poly)
-            disc_ok = actual == predicted
-            verdict = None
-            if sq != 0:
-                try:
-                    if factor(sq, budget_ms=_budget_left(budget_ms, start)).is_squarefree():
-                        left = _budget_left(budget_ms, start)
-                        verdict = montes_certificate(poly, budget_ms=left).verdict
-                except BudgetExceededError:
-                    verdict = "not_certified"
-            out.append(
-                FamilyEntry(
-                    family=family,
-                    s=s,
-                    t=t,
-                    poly=poly,
-                    predicted_disc=predicted,
-                    disc_ok=disc_ok,
-                    squared_factor=sq,
-                    verdict=verdict,
-                )
-            )
+    with _Request(budget_ms):  # one deadline for the whole request
+        for s in range(s_range[0], s_range[1] + 1):
+            for t in range(t_range[0], t_range[1] + 1):
+                poly = quartic(s, t)
+                sq = squared_factor(s, t)
+                predicted = -27 * k * sq * sq
+                disc_ok = discriminant(poly) == predicted
+                verdict = None
+                if sq != 0:
+                    try:
+                        if is_squarefree(sq):
+                            verdict = montes_certificate(poly).verdict
+                    except BudgetExceededError:
+                        verdict = "not_certified"
+                out.append(FamilyEntry(family, s, t, poly, predicted, disc_ok, sq, verdict))
     return out

@@ -6,14 +6,14 @@ mutually exclusive for coprime parameters);
 p = 2 needs its own case analysis on v_2(alpha + 8 beta).  `classify` picks
 one of the two.  Conductor exponent
 f and component count c are reported only where the closed forms state them.
+`reduction_table`'s ``budget_ms`` is one deadline for its factorizations.
 """
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
-from .arith import _budget_left, factor, legendre, vp
+from .arith import _Request, factor, legendre, vp
 from .elliptic import tate_curve
 from .errors import MathDomainError
 from .valuation import singular_case
@@ -113,15 +113,14 @@ def classify_two(alpha: int, beta: int) -> ReductionData:
     return ReductionData(2, KodairaType(kind, n), None, None, tag, w)
 
 
-def bad_primes(alpha: int, beta: int, budget_ms: int | None = None) -> list[int]:
+def bad_primes(alpha: int, beta: int) -> list[int]:
     """Primes dividing Delta = beta^4 (alpha - 8 beta) (alpha + 8 beta)^7,
-    the three factorizations under one budget."""
+    the three factorizations under the request's deadline."""
     tate_curve(alpha, beta)
-    start = time.monotonic()
     primes: set[int] = set()
     for part in (beta, alpha - 8 * beta, alpha + 8 * beta):
         if part not in (1, -1):
-            primes.update(factor(part, budget_ms=_budget_left(budget_ms, start)).primes())
+            primes.update(factor(part).primes())
     return sorted(primes)
 
 
@@ -134,7 +133,8 @@ def reduction_table(
     alpha: int, beta: int, budget_ms: int | None = None
 ) -> list[ReductionData]:
     """Reduction data at every bad prime, ascending."""
-    rows = [classify(alpha, beta, p) for p in bad_primes(alpha, beta, budget_ms=budget_ms)]
+    with _Request(budget_ms):  # one deadline for the whole request
+        rows = [classify(alpha, beta, p) for p in bad_primes(alpha, beta)]
     # only p = 2 can read "good" (v_2(a) = 8): nonsingular at 2 after the
     # coordinate changes, so 2 divides Delta of the given model but is not a
     # bad prime

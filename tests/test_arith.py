@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 import sympy
@@ -264,7 +265,7 @@ def _reference_factor(
         if power is not None:
             stack.extend([power[0]] * power[1])
             continue
-        d = _brent_rho(m, None)
+        d = _brent_rho(m)
         stack.extend([d, m // d])
     return tuple(sorted(found.items())), tuple(sorted(probable))
 
@@ -439,7 +440,7 @@ def test_zero_budget_boundary_at_the_trial_bound():
         factor(4099 * 4111, budget_ms=0)
 
 
-def _refuse_rho(n, deadline):
+def _refuse_rho(n):
     raise AssertionError(f"rho ran on {n}")
 
 
@@ -473,6 +474,25 @@ def test_is_squarefree_sees_a_small_square_without_rho(monkeypatch):
     assert not is_squarefree(4 * ((2**61 - 1) * 1152921504606847009))
     assert not is_squarefree(-(4093**2) * (2**61 - 1))
     assert trial_walk(4 * 3 * 4093**2).shows_square()
+
+
+def test_complete_walk_proves_each_prime_once(monkeypatch):
+    # a part already found is prime, and a part below 2^24 is prime: neither
+    # goes to the probable-prime test again
+    q, r = sympy.nextprime(2**30), sympy.nextprime(2**40)
+    cases = {q**3 * r: (q,), q**4: (q,), 4099**3 * 4111**2 * r: (4099, 4111)}
+    for n, primes in cases.items():
+        tested = Counter()
+
+        def counting(m, _inner=arith.is_probable_prime):
+            tested[m] += 1
+            return _inner(m)
+
+        monkeypatch.setattr(arith, "is_probable_prime", counting)
+        fact = factor(n)
+        monkeypatch.undo()
+        assert dict(fact.factors) == sympy.factorint(n), n
+        assert all(tested[p] == (p >= 2**24) for p in primes), (n, tested)
 
 
 def test_perfect_power_finds_roots_just_above_the_trial_bound():
@@ -535,4 +555,4 @@ def test_rho_splits_as_with_absolute_differences():
     # small odd composites often split or collapse in it
     corpus += [n for n in range(9, 2**10, 2) if not is_probable_prime(n)]
     for n in corpus:
-        assert _brent_rho(n, None) == _reference_brent_rho(n), n
+        assert _brent_rho(n) == _reference_brent_rho(n), n

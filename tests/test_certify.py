@@ -209,18 +209,25 @@ def test_certify_factors_alpha_minus_plus_8_once_each(monkeypatch, alpha):
     assert reduced == []
 
 
-def test_certify_spends_one_budget_on_both_factorizations(monkeypatch):
-    left = []
+def _deadline_left(deadlines):
+    """Record the deadline in force and return the ms left of it, floored at 0."""
+    deadlines.append(arith._DEADLINE.get())
+    return max(0.0, 1000 * (deadlines[-1] - time.monotonic()))
 
-    def slow_first(walk, deadline=None, _inner=certify_module.complete_walk):
-        left.append(1000 * (deadline - time.monotonic()))
+
+def test_certify_spends_one_budget_on_both_factorizations(monkeypatch):
+    deadlines, left = [], []
+
+    def slow_first(walk, _inner=certify_module.complete_walk):
+        left.append(_deadline_left(deadlines))
         if len(left) == 1:
             time.sleep(0.15)
-        return _inner(walk, deadline)
+        return _inner(walk)
 
     monkeypatch.setattr(certify_module, "complete_walk", slow_first)
     assert certify(2, budget_ms=1000).verdict == "monogenic"
     assert len(left) == 2 and 900 < left[0] <= 1000 and left[1] <= 850
+    assert None not in deadlines and len(set(deadlines)) == 1
 
 
 def test_certify_large_json_digest():
@@ -906,26 +913,44 @@ def test_survey_reports_an_exhausted_budget_as_not_certified(monkeypatch):
     verdicts = [e.verdict for e in survey_family("A", (1, 1), (2, 8))]
     assert verdicts == [None, "monogenic", None, "monogenic", None, "monogenic", None]
 
-    def exhausted(n, budget_ms=None):
+    def exhausted(n):
         raise BudgetExceededError(f"factorization budget exhausted on {n}")
 
-    monkeypatch.setattr(certify_module, "factor", exhausted)
+    monkeypatch.setattr(certify_module, "is_squarefree", exhausted)
     # the budget runs out before squarefreeness is known: not_certified, not skipped
     verdicts = [e.verdict for e in survey_family("A", (1, 1), (2, 8), budget_ms=0)]
     assert verdicts == ["not_certified"] * 6 + [None]
 
 
+def test_survey_sees_a_small_square_with_no_budget_left():
+    # family A at s = 1, t = 2u: the squared factor t^2 - 64 = 4 (u - 4)(u + 4)
+    # with u -+ 4 primes near 2^40.  The square 4 shows in the trial walk, so
+    # the cell is known not to be squarefree without the rho split of the
+    # 80-bit cofactor that the budget cannot pay for
+    u = sympy.nextprime(2**40) + 4
+    while not sympy.isprime(u + 4):
+        u = sympy.nextprime(u) + 4
+    entry = survey_family("A", (1, 1), (2 * u, 2 * u), budget_ms=0)[0]
+    assert entry.squared_factor == 4 * (u - 4) * (u + 4)
+    assert entry.disc_ok and entry.verdict is None
+
+
 def test_survey_spends_one_budget_on_the_whole_request(monkeypatch):
-    budgets = []
+    # the squarefree test of each squared factor, and inside each
+    # montes_certificate the factorizations of c0 (arith.divisors ->
+    # arith.factor) and of disc
+    deadlines, budgets = [], []
+    for module, name in ((certify_module, "is_squarefree"), (certify_module, "factor"), (arith, "factor")):
+        def slow(n, _inner=getattr(module, name)):
+            budgets.append(_deadline_left(deadlines))
+            time.sleep(0.02)
+            return _inner(n)
 
-    def slow(n, budget_ms=None, _inner=certify_module.factor):
-        budgets.append(budget_ms)
-        time.sleep(0.02)
-        return _inner(n, budget_ms=budget_ms)
-
-    monkeypatch.setattr(certify_module, "factor", slow)
+        monkeypatch.setattr(module, name, slow)
     survey_family("B", (0, 2), (0, 2), budget_ms=100)
-    # five 20 ms sleeps use the budget up: each call gets what is left
+    # five 20 ms sleeps use the budget up: each call gets what is left, of
+    # the survey's one deadline
+    assert None not in deadlines and len(set(deadlines)) == 1
     assert len(budgets) > 6
     assert 50 < budgets[0] <= 100
     assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
@@ -934,12 +959,12 @@ def test_survey_spends_one_budget_on_the_whole_request(monkeypatch):
 
 
 def test_scan_spends_one_budget_on_the_whole_request(monkeypatch):
-    budgets = []
+    deadlines, budgets = [], []
 
-    def slow(walk, deadline=None, _inner=certify_module.complete_walk):
-        budgets.append(max(0.0, 1000 * (deadline - time.monotonic())))
+    def slow(walk, _inner=certify_module.complete_walk):
+        budgets.append(_deadline_left(deadlines))
         time.sleep(0.02)
-        return _inner(walk, deadline)
+        return _inner(walk)
 
     expected = [c.to_json() for c in scan(1, 10)]
     monkeypatch.setattr(certify_module, "complete_walk", slow)
@@ -950,6 +975,7 @@ def test_scan_spends_one_budget_on_the_whole_request(monkeypatch):
     assert 30 < budgets[0] <= 50
     assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
     assert budgets[3:] == [0.0] * len(budgets[3:])
+    assert None not in deadlines and len(set(deadlines)) == 1
     # no rho work is needed at this size, so a spent budget changes no verdict
     assert [c.to_json() for c in certs] == expected
 
@@ -992,18 +1018,18 @@ def test_certify_generic_json_digest():
 
 def test_montes_spends_one_budget_on_the_whole_request(monkeypatch):
     # the irreducibility test factors c0 through arith.divisors -> arith.factor
-    budgets = []
-    for module in (importlib.import_module("monodiv.arith"), certify_module):
-        def recording(n, budget_ms=None, _inner=module.factor):
-            budgets.append(budget_ms)
+    deadlines, budgets = [], []
+    for module in (arith, certify_module):
+        def recording(n, _inner=module.factor):
+            budgets.append(_deadline_left(deadlines))
             time.sleep(0.01)
-            return _inner(n, budget_ms=budget_ms)
+            return _inner(n)
 
         monkeypatch.setattr(module, "factor", recording)
     assert montes_certificate(three_torsion_quartic(2), budget_ms=1000).verdict == "monogenic"
-    # c0 = -3, then disc: both finite, and each gets what is left
-    assert len(budgets) == 2 and None not in budgets
-    assert budgets[0] == 1000 and budgets[1] <= 990
+    # c0 = -3, then disc: one deadline, and each gets what is left
+    assert len(budgets) == 2 and None not in deadlines and len(set(deadlines)) == 1
+    assert 900 < budgets[0] <= 1000 and budgets[1] <= 990
 
 
 def test_montes_budget_covers_the_irreducibility_test():
@@ -1057,7 +1083,7 @@ def _from_full_factorizations(alpha):
     return ("monogenic" if squarefree else "hypothesis_failed"), trust
 
 
-def _refuse_rho(n, deadline):
+def _refuse_rho(n):
     raise AssertionError(f"rho ran on {n}")
 
 
@@ -1124,9 +1150,9 @@ def test_certify_finds_a_square_above_the_trial_bound_through_rho(monkeypatch):
     alpha = 4099**2 * r + 8
     split, brent_rho = [], arith._brent_rho
 
-    def recording(n, deadline):
+    def recording(n):
         split.append(n)
-        return brent_rho(n, deadline)
+        return brent_rho(n)
 
     monkeypatch.setattr(arith, "_brent_rho", recording)
     cert = certify(alpha)

@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and every public
-name it defines has a caller.
+"""Every module of the package uses each name it imports, every public name
+it defines has a caller, and only `arith` handles the time budget.
 
 A name that no code in its module reads is a stale import, except where the
 traced benchmark run patches that name on the module (`PATCHES` in
@@ -334,3 +334,47 @@ def test_annotations_resolve_a_class_through_its_module():
         "quoted": [{"Box"}],
         "unknown": [set()],
     }
+
+
+# One deadline per request: the entry points that take budget_ms open it
+# (arith._Request), arith holds it, and only rho reads it.
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_only_arith_reads_the_clock_and_the_deadline():
+    readers = set()
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.Import) and any(a.name == "time" for a in node.names)
+            imported |= isinstance(node, ast.ImportFrom) and (
+                node.module == "time" or any(a.name == "_DEADLINE" for a in node.names)
+            )
+            if imported or getattr(node, "id", getattr(node, "attr", None)) == "_DEADLINE":
+                readers.add(module)
+    assert readers == {"arith"}
+
+
+def test_no_budget_is_passed_below_the_entry_points():
+    passing = {
+        f"{module}:{node.lineno}"
+        for module, tree in _package_trees().items()
+        if module not in ("arith", "cli")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "budget_ms" for k in node.keywords)
+    }
+    assert passing == set()
+
+
+def test_no_function_takes_a_deadline():
+    taking = {
+        f"{module}.{node.name}"
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg == "deadline"
+    }
+    assert taking == set()

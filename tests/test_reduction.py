@@ -15,6 +15,7 @@ from monodiv import (
     tate_curve,
     vp,
 )
+from monodiv import arith
 from monodiv.reduction import KodairaType, bad_primes
 from monodiv.valuation import singular_fueter_T
 
@@ -220,13 +221,14 @@ def test_singular_parameters_rejected():
 
 
 def test_reduction_table_spends_one_budget_on_the_whole_request(monkeypatch):
-    budgets = []
+    deadlines, budgets = [], []
     module = importlib.import_module("monodiv.reduction")
 
-    def slow(n, budget_ms=None, _inner=module.factor):
-        budgets.append(budget_ms)
+    def slow(n, _inner=module.factor):
+        deadlines.append(arith._DEADLINE.get())
+        budgets.append(max(0.0, 1000 * (deadlines[-1] - time.monotonic())))
         time.sleep(0.06)
-        return _inner(n, budget_ms=budget_ms)
+        return _inner(n)
 
     expected = reduction_table(7, 3)
     monkeypatch.setattr(module, "factor", slow)
@@ -236,6 +238,7 @@ def test_reduction_table_spends_one_budget_on_the_whole_request(monkeypatch):
     assert 60 < budgets[0] <= 100
     assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
     assert budgets[1] <= 40 and budgets[2] == 0.0
+    assert None not in deadlines and len(set(deadlines)) == 1
 
 
 def test_classify_and_singular_point_sweep_digests():
