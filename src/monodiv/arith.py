@@ -294,24 +294,24 @@ def trial_walk(x: int) -> TrialWalk:
 
 def complete_walk(walk: TrialWalk) -> Factorization:
     """The factorization of the walked number: deterministic Brent rho
-    splitting of the cofactor, each prime part proved prime once.  Only rho
-    reads the request's deadline."""
+    splitting of the cofactor, on a stack of (part, multiplicity) pairs, so
+    each part is tested, rooted or split once.  Only rho reads the deadline."""
     found = dict(walk.small)
-    stack = [walk.cofactor] if walk.cofactor > 1 else []
+    stack = [(walk.cofactor, 1)] if walk.cofactor > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         # A part already found is prime.  No prime below 2^12 divides a part
         # (see TrialWalk), so a part below 2^24 is prime.
         if m in found or m < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(m):
-            found[m] = found.get(m, 0) + 1
+            found[m] = found.get(m, 0) + e
             continue
         power = _perfect_power(m)
         if power is not None:
             b, k = power
-            stack.extend([b] * k)
+            stack.append((b, k * e))
             continue
         d = _brent_rho(m)
-        stack.extend([d, m // d])
+        stack.extend([(d, e), (m // d, e)])
     return Factorization(sign=walk.sign, factors=tuple(sorted(found.items())))
 
 

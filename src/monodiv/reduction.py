@@ -2,10 +2,10 @@
 
 For odd bad primes the type is decided by which of beta, alpha - 8 beta,
 alpha + 8 beta the prime divides (`valuation.singular_case`; the cases are
-mutually exclusive for coprime parameters);
-p = 2 needs its own case analysis on v_2(alpha + 8 beta).  `classify` picks
-one of the two.  Conductor exponent
-f and component count c are reported only where the closed forms state them.
+mutually exclusive for coprime parameters); p = 2 reads each row off
+v_2(alpha +- 8 beta) and a residue mod 4.  `classify` picks one of the two;
+the tests check it against Tate's algorithm.  Conductor exponent f and
+component count c are reported only where the closed forms state them.
 `reduction_table`'s ``budget_ms`` is one deadline for its factorizations.
 """
 
@@ -75,9 +75,13 @@ def classify_odd(alpha: int, beta: int, p: int) -> ReductionData:
     return ReductionData(p, KodairaType(kind, n), f, c, tag, w)
 
 
+# p = 2, beta odd, a = alpha + 8 beta = 2^v a' with a' odd.  At even v = 2w >= 4,
+# t1 = (beta a + 2^w a - 2^(2w)) / 2^(2w+1) = (beta a' + 2^w a' - 1)/2 is odd
+# iff beta a' = 3 mod 4, as 4 | 2^w a'; at v = 4, m = v_2(16 (a' - beta)) >= 5
+# is 5 iff beta a' = 3 mod 4 [test_classify_two_residue_identities].
 def classify_two(alpha: int, beta: int) -> ReductionData:
-    """Reduction data at p = 2: MathDomainError unless 2 | beta or 2 | alpha,
-    and kind "good" (tate2-6bii) at v_2(alpha + 8 beta) = 8, though 2 | Delta."""
+    """Reduction data at p = 2 (see above): MathDomainError unless 2 | beta or
+    2 | alpha, and kind "good" (tate2-6bii) at v = 8, though 2 | Delta."""
     a = tate_curve(alpha, beta).a
     if beta % 2 == 0:
         # same analysis as the odd beta-divisibility case, with p = 2
@@ -85,31 +89,26 @@ def classify_two(alpha: int, beta: int) -> ReductionData:
         return ReductionData(2, KodairaType("I", 4 * v), 1, 4 * v, "tate2-beta", 0)
     if a % 2:
         raise MathDomainError("good reduction at p = 2")
-    v = vp(a, 2)
+    v, m = vp(a, 2), vp(alpha - 8 * beta, 2)
     if v == 1:
         return ReductionData(2, KodairaType("I*", 1), 3, 4, "tate2-1", 0)
     w = v // 2
-    # t1 is read for even v >= 4 only: there the stated (beta*a + 4a - 16)/32
-    # is the w = 2 instance of the general (beta*a + 2^w a - 2^(2w)) / 2^(2w+1)
-    t1 = (beta * a + 2**w * a - 2 ** (2 * w)) // 2 ** (2 * w + 1)
     if v == 2:
         kind, n, tag = "III", None, "tate2-2"
     elif v % 2:
         kind, n, tag = "I*", v, "tate2-3"
-    elif v == 4 and t1 % 2:
+    elif v == 4 and m == 5:
         kind, n, tag = "I*", 0, "tate2-4"
-    elif v == 4 and (beta * a * a // 2**8) % 4 == 1:
-        kind, n, tag = "I*", 2, "tate2-5a"
     elif v == 4:
-        kind, n, tag = "I*", 3, "tate2-5b"
-    elif t1 % 2:
+        kind, n, tag = "I*", m - 4, "tate2-5a" if m == 6 else "tate2-5b"
+    elif beta * (a >> v) % 4 == 3:  # t1 odd
         kind, n, tag = "I*", v - 4, "tate2-6a"
     elif v == 6:
         kind, n, tag = "III*", None, "tate2-6bi"
-    elif v == 8:
-        kind, n, tag = "good", None, "tate2-6bii"
+    elif v == 8:  # v_2(Delta) = 7v + 4 and Ogg's formula need w = v/2 + 1
+        kind, n, tag, w = "good", None, "tate2-6bii", w + 1
     else:
-        kind, n, tag = "I", v - 8, "tate2-6biii"
+        kind, n, tag, w = "I", v - 8, "tate2-6biii", w + 1
     return ReductionData(2, KodairaType(kind, n), None, None, tag, w)
 
 

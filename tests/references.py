@@ -19,11 +19,14 @@ check, its oracle,
 ``PolygonSide.slope_text`` and of the tests that reason about hull slopes, and
 Rabin's test and Yun's loop with its special cases, the package's former
 irreducibility test and squarefree split mod p, are the oracles of the
-distinct-degree test and the plain loop that replaced them."""
+distinct-degree test and the plain loop that replaced them.  ``tate_reference``,
+Tate's algorithm at any prime, which the package never carried, is the oracle
+of ``reduction.classify``'s closed forms."""
 
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from monodiv import (
     MathDomainError,
@@ -36,7 +39,7 @@ from monodiv import (
     WeierstrassCurve,
 )
 from monodiv import poly
-from monodiv.arith import divisors, factor
+from monodiv.arith import divisors, factor, vp
 from monodiv.elliptic import T_to_x, fueter_value, psi_value
 from monodiv.valuation import singular_fueter_T
 
@@ -272,3 +275,153 @@ def closed_form(alpha: int, p: int) -> tuple[PolyInt, list[tuple[PolyModP, int]]
     else:
         t0, roots = 1, [(1, 3), (-3, 1)]
     return PolyInt((-t0, 1)), [(PolyModP(p, (-r, 1)), e) for r, e in roots]
+
+
+class TateRow(NamedTuple):
+    """Local data by Tate's algorithm: the Kodaira kind ("good", "I", "I*",
+    "II", "III", "IV", "IV*", "III*", "II*"), its index n (I and I* only),
+    the conductor exponent f, the Tamagawa number c, and the number of
+    scalings by p it took to reach a minimal model."""
+
+    kind: str
+    n: int | None
+    f: int
+    c: int
+    scalings: int
+
+
+def _invariants(a):
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def _shift(a, r=0, s=0, t=0):
+    """The model after x -> x + r, y -> y + s x + t (u = 1)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+def _roots(coeffs, p):
+    """The roots in [0, p) of the polynomial with coefficients coeffs,
+    constant term first, by a search over residues."""
+    return [x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
+
+
+def _multiplicity(coeffs, x, p) -> int:
+    """How many times T - x divides the polynomial mod p, by synthetic
+    division."""
+    k = 0
+    while len(coeffs) > 1:
+        quotient = [0]
+        for c in reversed(coeffs):
+            quotient.append((quotient[-1] * x + c) % p)
+        if quotient[-1]:
+            return k
+        coeffs, k = quotient[-2:0:-1], k + 1
+    return k
+
+
+def _root(coeffs, p):
+    """The one root mod p of a polynomial known to have a single root there."""
+    (x,) = _roots(coeffs, p)
+    return x
+
+
+def tate_reference(a, p: int) -> TateRow:
+    """Tate's algorithm at the prime p on the integral model a = (a1, a2, a3,
+    a4, a6), in the loop form of Cremona, Algorithms for Modular Elliptic
+    Curves, 3.2 (Silverman, Advanced Topics, IV.9.4), on exact integers.
+    Every root is found by a search over residues, and a double root of the
+    cubic is told from a triple one by 3C - B^2, which is -(rho - sigma)^2 for
+    (T - rho)^2 (T - sigma) and 0 for a cube in every characteristic; roots
+    are never read off derivatives, which fails in characteristic 2 and 3."""
+    scalings = 0
+    while True:
+        n = vp(_invariants(a)[4], p)
+        if n == 0:
+            return TateRow("good", None, 0, 1, scalings)
+        # move the singular point of the reduction to (0, 0): for odd p its
+        # y is the root of 2y + a1 x + a3
+        a1, _, a3, _, _ = a
+        points = [
+            (x0, y0)
+            for x0 in range(p)
+            for y0 in (range(2) if p == 2 else [-(a1 * x0 + a3) * pow(2, -1, p) % p])
+        ]
+        a = next(
+            m
+            for m in (_shift(a, x0, 0, y0) for x0, y0 in points)
+            if m[2] % p == m[3] % p == m[4] % p == 0
+        )
+        a1, a2, a3, a4, a6 = a
+        b2, b4, b6, b8, _ = _invariants(a)
+        if b2 % p:  # nodal: the tangents y^2 + a1 y - a2 at (0, 0) are distinct
+            split = len(_roots((-a2, a1, 1), p)) == 2
+            return TateRow("I", n, 1, n if split else 2 - n % 2, scalings)
+        if a6 % p**2:
+            return TateRow("II", None, n, 1, scalings)
+        if b8 % p**3:
+            return TateRow("III", None, n - 1, 2, scalings)
+        if b6 % p**3:
+            c = 3 if _roots((-a6 // p**2, a3 // p, 1), p) else 1
+            return TateRow("IV", None, n - 2, c, scalings)
+        # p | a1, a2; p^2 | a3, a4; p^3 | a6
+        s = next(s for s in range(p) if (a1 + 2 * s) % p == (a2 - s * a1 - s * s) % p == 0)
+        a = _shift(a, s=s)
+        a = next(
+            m
+            for m in (_shift(a, t=p * j) for j in range(p))
+            if m[2] % p**2 == m[3] % p**2 == m[4] % p**3 == 0
+        )
+        a1, a2, a3, a4, a6 = a
+        B, C, D = a2 // p, a4 // p**2, a6 // p**3
+        disc = B * B * C * C - 4 * C**3 - 4 * B**3 * D - 27 * D * D + 18 * B * C * D
+        cubic = (D, C, B, 1)
+        if disc % p:
+            return TateRow("I*", 0, n - 4, 1 + len(_roots(cubic, p)), scalings)
+        if (3 * C - B * B) % p:
+            # a double root rho and a simple sigma: move rho to 0
+            rho = next(x for x in _roots(cubic, p) if _multiplicity(cubic, x, p) == 2)
+            a = _shift(a, r=p * rho)
+            mx = my = p * p
+            m = 1
+            while True:
+                a1, a2, a3, a4, a6 = a
+                xa3, xa6 = a3 // my, a6 // (mx * my)
+                if (xa3 * xa3 + 4 * xa6) % p:
+                    c = 4 if _roots((-xa6, xa3, 1), p) else 2
+                    break
+                a = _shift(a, t=my * _root((-xa6, xa3, 1), p))
+                my *= p
+                m += 1
+                a1, a2, a3, a4, a6 = a
+                xa2, xa4, xa6 = a2 // p, a4 // (p * mx), a6 // (mx * my)
+                if (xa4 * xa4 - 4 * xa2 * xa6) % p:
+                    c = 4 if _roots((xa6, xa4, xa2), p) else 2
+                    break
+                a = _shift(a, r=mx * _root((xa6, xa4, xa2), p))
+                mx *= p
+                m += 1
+            return TateRow("I*", m, n - m - 4, c, scalings)
+        # a triple root: move it to 0
+        a = _shift(a, r=p * _root(cubic, p))
+        a1, a2, a3, a4, a6 = a
+        x3, x6 = a3 // p**2, a6 // p**4
+        if (x3 * x3 + 4 * x6) % p:
+            return TateRow("IV*", None, n - 6, 3 if _roots((-x6, x3, 1), p) else 1, scalings)
+        a = _shift(a, t=p * p * _root((-x6, x3, 1), p))
+        a1, a2, a3, a4, a6 = a
+        if a4 % p**4:
+            return TateRow("III*", None, n - 7, 2, scalings)
+        if a6 % p**6:
+            return TateRow("II*", None, n - 8, 1, scalings)
+        a = tuple(x // p**i for x, i in zip(a, (1, 2, 3, 4, 6)))
+        scalings += 1

@@ -495,6 +495,31 @@ def test_complete_walk_proves_each_prime_once(monkeypatch):
         assert all(tested[p] == (p >= 2**24) for p in primes), (n, tested)
 
 
+def test_complete_walk_splits_each_part_once(monkeypatch):
+    # a perfect power goes back on the stack once, as (root, k e), so a
+    # composite root is split by rho once, and a prime power is rooted and
+    # tested once per distinct root
+    q, r = sympy.nextprime(2**30), sympy.nextprime(2**40)
+    cases = {
+        (q * r) ** 2: {"_brent_rho": 1},
+        (q * r) ** 3: {"_brent_rho": 1},
+        q**4: {"_perfect_power": 2, "is_probable_prime": 3},
+    }
+    for n, expected in cases.items():
+        calls = Counter()
+        for name in ("_brent_rho", "_perfect_power", "is_probable_prime"):
+
+            def counting(m, _inner=getattr(arith, name), _name=name):
+                calls[_name] += 1
+                return _inner(m)
+
+            monkeypatch.setattr(arith, name, counting)
+        fact = factor(n)
+        monkeypatch.undo()
+        assert dict(fact.factors) == sympy.factorint(n), n
+        assert {name: calls[name] for name in expected} == expected, (n, calls)
+
+
 def test_perfect_power_finds_roots_just_above_the_trial_bound():
     # on factor's stack no prime factor lies below the bound, so a root b is
     # at least the bound and only exponents with bound**k <= n are tried

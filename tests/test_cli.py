@@ -441,6 +441,19 @@ def test_reduce_at_two_text_row():
 
 
 @pytest.mark.parametrize(
+    "alpha, beta, row",
+    [
+        # v_2(alpha + 8 beta) = 4: I*_m with m = v_2(alpha - 8 beta) - 4 (Tate's algorithm)
+        ("-40", "3", "2      I*_2     -  -  tate2-5a\n"),  # alpha - 8 beta = -64
+        ("136", "1", "2      I*_3     -  -  tate2-5b\n"),  # alpha - 8 beta = 128
+    ],
+)
+def test_reduce_at_two_v4_rows(alpha, beta, row):
+    code, out, err = invoke("reduce", "--alpha", alpha, "--beta", beta, "--prime", "2")
+    assert (code, err, out) == (0, "", "p      kodaira  f  c  case\n" + row)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("divpoly", "--n", "3"), "provide --alpha/--beta or --a-invariants"),

@@ -1,5 +1,8 @@
+import functools
 import hashlib
 import importlib
+import math
+import random
 import time
 from collections import Counter
 
@@ -8,6 +11,7 @@ import pytest
 from monodiv import (
     MathDomainError,
     SingularCurveError,
+    classify,
     classify_odd,
     classify_two,
     reduction_table,
@@ -20,6 +24,7 @@ from monodiv.reduction import KodairaType, bad_primes
 from monodiv.valuation import singular_fueter_T
 
 from conftest import random_tate_params
+from references import _shift, tate_reference
 
 
 def test_kodaira_rendering():
@@ -109,20 +114,18 @@ def test_classify_two_even_v_cases():
 
 
 def test_classify_two_v4_subcases():
-    # need (beta a + 4a - 16)/32 even with v_2(a) = 4
-    # beta = 1: a = 16u, t1 = (16u + 64u - 16)/32 = (80u - 16)/32 = (5u - 1)/2: even iff u = 1 mod 4
-    # u = 5: alpha = 72: t1 = 12 even; beta a^2 / 2^8 = 6400/256 = 25 = 1 mod 4 -> I*_2
+    # v_2(a) = 4 with a = 16 a': m = v_2(alpha - 8 beta) = v_2(16 (a' - beta)) >= 5,
+    # m = 5 (beta a' = 3 mod 4) is I*_0, and m >= 6 is I*_(m - 4)
+    # beta = 1, a' = 5: alpha = 72, alpha - 8 = 64: m = 6 -> I*_2
     data = classify_two(72, 1)
     assert (str(data.kodaira), data.case_tag) == ("I*_2", "tate2-5a")
-    # u = 9: alpha = 136: t1 = 22 even; beta a^2/2^8 = 20736/256 = 81 = 1 mod 4 -> I*_2
+    # beta = 1, a' = 9: alpha = 136, alpha - 8 = 128: m = 7 -> I*_3
     data = classify_two(136, 1)
-    assert data.case_tag == "tate2-5a"
-    # beta = 3, a = 16u with u = 3 mod 4 makes beta a^2 / 256 = 3 u^2 = 3 mod 4
-    # u = 1: alpha = 16 - 24 = -8 beta? alpha = 16*1 - 24 = -8: singular. u = -1: a = -16:
-    # alpha = -16 - 24 = -40: t1 = (3(-16) + 4(-16) - 16)/32 = (-48 - 64 - 16)/32 = -4 even
-    # beta a^2 / 2^8 = 3*256/256 = 3 -> I*_3
-    data = classify_two(-40, 3)
     assert (str(data.kodaira), data.case_tag) == ("I*_3", "tate2-5b")
+    # beta = 3, a' = -1: a = -16, alpha = -16 - 24 = -40, alpha - 24 = -64:
+    # m = 6 -> I*_2
+    data = classify_two(-40, 3)
+    assert (str(data.kodaira), data.case_tag) == ("I*_2", "tate2-5a")
 
 
 def test_classify_two_high_even_v_cases():
@@ -264,7 +267,7 @@ def test_classify_and_singular_point_sweep_digests():
                     line = f"{type(e).__name__}: {e}"
                 fueter.update(line.encode() + b"\n")
     assert classify.hexdigest() == (
-        "ba2993e2dba57939c66751a00659e368945b2a42e7d831ede0cf277706b468eb"
+        "950a66db45b15ae67bfba9d3c379d8485fdd20123c13cc6b464da54685a0bd7a"
     )
     assert fueter.hexdigest() == (
         "c1d927c808740bf09eebc46154e1420ba898d03c8abbbd6a5969a73c355fc3bb"
@@ -276,3 +279,129 @@ def test_classify_and_singular_point_sweep_digests():
 def test_geometric_components_of_every_kind():
     kinds = (KodairaType("I", 4), KodairaType("I*", 1), KodairaType("III"), KodairaType("III*"), KodairaType("good"))
     assert [k.geometric_components for k in kinds] == [4, 6, None, None, 1]
+
+
+def test_tate_reference_on_known_curves():
+    # y^2 = x^3 - x (conductor 32), y^2 = x^3 + 1 (36), 11a1, 14a1, and
+    # y^2 = x^3 - x scaled by 2 and by 3, which the reference makes minimal
+    rows = [
+        ((0, 0, 0, -1, 0), 2, ("III", None, 5, 2, 0)),
+        ((0, 0, 0, 0, 1), 2, ("IV", None, 2, 3, 0)),
+        ((0, 0, 0, 0, 1), 3, ("III", None, 2, 2, 0)),
+        ((0, -1, 1, -10, -20), 11, ("I", 5, 1, 5, 0)),
+        ((1, 0, 1, 4, -6), 2, ("I", 6, 1, 2, 0)),
+        ((1, 0, 1, 4, -6), 7, ("I", 3, 1, 3, 0)),
+        ((0, 0, 0, -16, 0), 2, ("III", None, 5, 2, 1)),
+        ((0, 0, 0, -81, 0), 3, ("good", None, 0, 1, 1)),
+    ]
+    for a, p, expected in rows:
+        ref = tate_reference(a, p)
+        assert (ref.kind, ref.n, ref.f, ref.c, ref.scalings) == expected, (a, p)
+
+
+def _tate_model(alpha, beta):
+    """a1..a6 of tate_curve(alpha, beta), as integers."""
+    a = alpha + 8 * beta
+    return (a, beta * a, beta * a * a, 0, 0)
+
+
+def _reference_row(alpha, beta, p):
+    return tate_reference(_tate_model(alpha, beta), p)
+
+
+def test_tate_reference_is_invariant_under_changes_of_coordinates():
+    # x -> x + r, y -> y + s x + t keeps the curve, so the reference must
+    # give the same row on the moved model, at 2, 3 and the odd bad primes
+    rng = random.Random(4417)
+    for _ in range(200):
+        alpha, beta = random_tate_params(rng, bound=400)
+        model = _tate_model(alpha, beta)
+        moved = _shift(model, *(rng.randint(-50, 50) for _ in range(3)))
+        for p in sorted({2, 3} | {p for p in bad_primes(alpha, beta) if p < 60}):
+            assert tate_reference(moved, p) == tate_reference(model, p), (alpha, beta, p)
+
+
+def _agrees(data, ref):
+    """classify's row against Tate's algorithm: kind and n, and f and c
+    where classify states them."""
+    return (data.kodaira.kind, data.kodaira.n) == (ref.kind, ref.n) and all(
+        mine is None or mine == theirs for mine, theirs in ((data.f, ref.f), (data.c, ref.c))
+    )
+
+
+@functools.cache
+def _two_adic_grid():
+    """(alpha, beta, classify_two row, reference row) for odd beta < 60 and
+    |alpha| <= 600, alpha even: every tate2-* tag but tate2-beta."""
+    rows = []
+    for beta in range(1, 60, 2):
+        for alpha in range(-600, 601, 2):
+            if math.gcd(alpha, beta) == 1 and alpha not in (8 * beta, -8 * beta):
+                rows.append((alpha, beta, classify_two(alpha, beta), _reference_row(alpha, beta, 2)))
+    return rows
+
+
+def test_classify_matches_tate_reference_at_every_bad_prime():
+    # 2000 seeded curves, half with alpha near +-8 beta, where the 2-adic
+    # valuations run high; every bad prime up to 150
+    rng, rows = random.Random(20261021), Counter()
+    for i in range(2000):
+        beta = rng.randint(1, 3000)
+        if i % 2:
+            alpha = rng.choice((8, -8)) * beta + rng.randint(-512, 512)
+        else:
+            alpha = rng.randint(-(10**5), 10**5)
+        if math.gcd(alpha, beta) != 1 or alpha in (8 * beta, -8 * beta):
+            continue
+        for p in bad_primes(alpha, beta):
+            if p <= 150:
+                data = classify(alpha, beta, p)
+                assert _agrees(data, _reference_row(alpha, beta, p)), (alpha, beta, data)
+                rows[data.case_tag] += 1
+    # every tag but the two of v_2(alpha + 8 beta) >= 8, which the grid below holds
+    assert len(rows) == 14 and sum(rows.values()) == 5175
+
+
+def test_classify_two_matches_tate_reference_on_the_two_adic_grid():
+    tags = Counter()
+    for alpha, beta, data, ref in _two_adic_grid():
+        assert _agrees(data, ref), (alpha, beta, data, ref)
+        tags[data.case_tag] += 1
+    assert len(tags) == 10 and min(tags.values()) == tags["tate2-6biii"] == 2
+
+
+# geometric components of the types whose KodairaType does not state them
+_COMPONENTS = {"III": 2, "III*": 8}
+
+
+def test_ogg_formula_at_two():
+    # v_2(Delta) - 12 w = f + m - 1, with f from Tate's algorithm: w is
+    # v_2(alpha + 8 beta)/2 + 1 on the good and I_n rows of v >= 8
+    assert classify_two(248, 1).minimal_shift_w == 5
+    assert classify_two(1016, 1).minimal_shift_w == 6
+    rows = list(_two_adic_grid())
+    for beta in (2, 4, 8, 64, 256):
+        for alpha in range(-99, 100, 2):
+            rows.append((alpha, beta, classify_two(alpha, beta), _reference_row(alpha, beta, 2)))
+    for alpha, beta, data, ref in rows:
+        delta = beta**4 * (alpha - 8 * beta) * (alpha + 8 * beta) ** 7
+        m = data.kodaira.geometric_components or _COMPONENTS[data.kodaira.kind]
+        assert vp(delta, 2) - 12 * data.minimal_shift_w == ref.f + m - 1, (alpha, beta, data)
+
+
+def test_classify_two_residue_identities():
+    # the identities beside classify_two, at every odd a' and beta mod 16,
+    # negative ones included: t1 = (beta a + 2^w a - 2^(2w)) / 2^(2w+1) with
+    # a = 2^(2w) a' is odd iff beta a' = 3 mod 4, and at w = 2,
+    # m = v_2(alpha - 8 beta) is 5 iff beta a' = 3 mod 4
+    for a1 in range(-15, 16, 2):
+        for beta in range(-15, 16, 2):
+            three = beta * a1 % 4 == 3
+            for w in range(2, 6):
+                a = 2 ** (2 * w) * a1
+                numerator = beta * a + 2**w * a - 2 ** (2 * w)
+                assert numerator % 2 ** (2 * w + 1) == 0
+                assert (numerator // 2 ** (2 * w + 1) % 2 == 1) == three, (a1, beta, w)
+            if a1 != beta:
+                m = vp(16 * a1 - 16 * beta, 2)  # alpha - 8 beta at a = 16 a'
+                assert m >= 5 and (m == 5) == three, (a1, beta)
